@@ -91,7 +91,7 @@ def main() -> None:
             f"{table.shape[0]} product states x {table.shape[1]} symbols, "
             f"dtype {table.dtype} ({table.nbytes} bytes)"
         )
-    chunk_size, _plan, (gathers, scalar_events) = batch._np_plan
+    chunk_size, _plan, (gathers, scalar_events), _scaled = batch._np_plan
     print(
         f"peel plan: {gathers} gather rounds over "
         f"{-(-len(events) // chunk_size)} chunks of {chunk_size} events "

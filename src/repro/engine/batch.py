@@ -6,11 +6,15 @@ object ids lived in per-spec dicts, and process-pool shards shipped pickled
 ``CompiledSpec`` objects plus raw frozenset histories.  This module makes a
 *columnar* encoding the engine's native interchange format instead:
 
-* :class:`ObjectInterner` -- object ids become dense integers (with an
-  identity fast path for workload streams whose ids are already dense);
+* :class:`ObjectInterner` -- object ids become dense integers in
+  first-appearance order.  Non-negative ``int`` ids go through a numpy
+  *slot table* indexed by the id (one gather per column, fresh ids found by
+  a first-occurrence scatter); any other id -- or a numpy-less host --
+  switches the interner to a dict for good (the fallback is sticky);
 * :class:`EncodedBatch` -- an interleaved event stream encoded **once**
   against the engine's shared :class:`repro.formal.alphabet.RoleSetAlphabet`
-  into ``array('q')`` id/code columns;
+  into ``int64`` ndarray id/code columns (list columns on the dict path),
+  with the other layout derived lazily for the consumers that need it;
 * :class:`ColumnarHistorySet` -- whole-history batches as one flat code
   column plus offsets, the unit of shard dispatch;
 * :class:`FusedKernel` -- the multi-spec kernel.  Registered specs are
@@ -29,8 +33,9 @@ object ids lived in per-spec dicts, and process-pool shards shipped pickled
   a worker-local kernel cache keyed by ``(name, generation)`` and the shared
   alphabet version, instead of pickling tables and frozensets per shard.
 
-Everything here runs on plain ints and lists; symbols appear only at the
-encode boundary and when verdicts are mapped back to caller object ids.
+Everything here runs on plain ints, lists and int64 ndarrays; symbols
+appear only at the encode boundary and when verdicts are mapped back to
+caller object ids.
 """
 
 from __future__ import annotations
@@ -46,6 +51,11 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 from repro.engine.compiler import CompiledSpec
 from repro.formal.alphabet import RoleSetAlphabet
 from repro.testing.faults import fire as _fire
+
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
+    _np = None
 
 Symbol = Hashable
 ObjectId = Hashable
@@ -66,110 +76,203 @@ _PAYLOAD_ZLIB_LEVEL = 1
 #: objects at 8 bytes), fatal for a zlib bomb inside a corrupted payload.
 COLUMN_WIRE_LIMIT = 1 << 27
 
+#: Largest object count a ``("dense", n)`` id-space payload may claim:
+#: the same wire bound, at 8 bytes per object.
+DENSE_WIRE_LIMIT = COLUMN_WIRE_LIMIT // 8
+
+#: Slot-table sizing: integer ids take the slot path while the table spans
+#: at most ``_SLOT_FLOOR + _SLOT_FACTOR * objects`` slots (8 bytes each), so
+#: its memory stays a small constant factor of the interned object count.
+_SLOT_FLOOR = 1 << 16
+_SLOT_FACTOR = 4
+
+_INT_ONLY = {int}
+
 
 class ObjectInterner:
-    """Dense integer ids for stream objects, append-only like the alphabet.
+    """Dense integer codes for stream objects, append-only like the alphabet.
 
-    Starts in a *dense* mode where integer ids forming an initial segment
-    ``0..n-1`` are their own codes (the shape every workload generator
-    emits), so encoding such a column is a copy instead of a dict sweep.
-    The first column that breaks the pattern transparently switches to
-    dict interning; codes handed out earlier never change.
+    Codes are handed out in first-appearance order and never move.  The
+    id -> code map lives in one of two representations:
+
+    * a **slot table** -- an ``int64`` ndarray indexed by the id itself,
+      ``-1`` marking ids not seen yet -- while every interned id is a
+      non-negative ``int`` and the table stays within
+      ``_SLOT_FLOOR + _SLOT_FACTOR * len(self)`` slots.  Encoding a column
+      is one gather; fresh ids are found with a first-occurrence scatter
+      (no dict, no sort) and the caller's own id objects are appended to
+      the object list, so no new Python ints are minted.
+    * a **dict** ``{id: code}`` for everything else -- strings, tuples,
+      bools, ids past the bound -- and on hosts without numpy.
+
+    The dict fallback is sticky: the first column the slot table cannot
+    hold converts the interner once (building the dict from the object
+    list) and it never probes the slot table again.  Both representations
+    hand out the same codes for the same input, so the choice is invisible
+    outside this class.
     """
 
-    __slots__ = ("_codes", "_objects", "_dense")
+    __slots__ = ("_objects", "_slots", "_codes")
 
     def __init__(self) -> None:
-        self._dense = 0
-        self._codes: Dict[ObjectId, int] = {}
         self._objects: List[ObjectId] = []
+        #: Exactly one of the two maps is live: the slot table (``None`` in
+        #: dict mode) or the dict (``None`` in slot mode).
+        self._slots = _np.empty(0, dtype=_np.int64) if _np is not None else None
+        self._codes: Optional[Dict[ObjectId, int]] = None if _np is not None else {}
 
     def __len__(self) -> int:
-        return self._dense if not self._objects else len(self._objects)
+        return len(self._objects)
 
-    def _leave_dense_mode(self) -> None:
-        if not self._objects and self._dense:
-            self._objects = list(range(self._dense))
-            self._codes = {code: code for code in range(self._dense)}
+    def _slot_bound(self, extra: int = 0) -> int:
+        """Slots the table may span once ``extra`` more objects are interned."""
+        return _SLOT_FLOOR + _SLOT_FACTOR * (len(self._objects) + extra)
+
+    def _to_dict_mode(self) -> None:
+        """Leave slot mode for good: the dict is rebuilt from the object list."""
+        if self._codes is None:
+            objects = self._objects
+            self._codes = dict(zip(objects, range(len(objects))))
+            self._slots = None
+
+    def _reserve(self, high: int) -> None:
+        """Grow the slot table to hold id ``high`` (doubling, capped at the bound)."""
+        slots = self._slots
+        if high < len(slots):
+            return
+        grown = _np.full(max(high + 1, min(2 * len(slots), self._slot_bound())), -1, _np.int64)
+        grown[: len(slots)] = slots
+        self._slots = grown
 
     def intern(self, object_id: ObjectId) -> int:
         """The dense code of one object, allocating a fresh one on first sight."""
-        if not self._objects:
-            if type(object_id) is int and 0 <= object_id <= self._dense:
-                if object_id == self._dense:
-                    self._dense += 1
-                return object_id
-            self._leave_dense_mode()
-        code = self._codes.get(object_id)
-        if code is None:
-            code = len(self._objects)
-            self._codes[object_id] = code
-            self._objects.append(object_id)
-        return code
+        return int(self.encode_column((object_id,))[0])
 
     def intern_column(self, column: Sequence[ObjectId]) -> List[int]:
-        """Encode a whole id column, preferring the C-speed dense fast path."""
-        if not column:
+        """Encode a whole id column into a list of codes."""
+        codes = self.encode_column(column)
+        return codes if isinstance(codes, list) else codes.tolist()
+
+    def encode_column(self, column: Sequence[ObjectId]):
+        """Encode a whole id column: the codes as an ``int64`` ndarray on the
+        slot path, as a list on the dict path."""
+        if not len(column):
             return []
-        # dict.fromkeys, not set(): first-appearance order, so the codes
-        # handed out below do not depend on the process hash seed.
-        distinct = dict.fromkeys(column)
-        if not self._objects:
-            if all(type(object_id) is int for object_id in distinct):
-                low = min(distinct)
-                high = max(distinct)
-                if low >= 0 and (
-                    high < self._dense
-                    or sum(1 for o in distinct if o >= self._dense) == high + 1 - self._dense
-                ):
-                    # The union with the existing universe is still an
-                    # initial segment of the integers: identity encoding.
-                    self._dense = max(self._dense, high + 1)
-                    return list(column)
-            self._leave_dense_mode()
+        if self._slots is not None:
+            ids = _int_array(column)
+            codes = None if ids is None else self._intern_ids(ids, column)
+            if codes is not None:
+                return codes
+            self._to_dict_mode()
         codes = self._codes
         objects = self._objects
-        for object_id in distinct:
+        # dict.fromkeys, not set(): first-appearance order, so the codes
+        # handed out below do not depend on the process hash seed.
+        for object_id in dict.fromkeys(column):
             if object_id not in codes:
                 codes[object_id] = len(objects)
                 objects.append(object_id)
         return list(map(codes.__getitem__, column))
 
+    def _intern_ids(self, ids, column: Optional[Sequence[ObjectId]] = None):
+        """The slot-table codes of the non-empty int64 id array ``ids``, or
+        ``None`` -- with nothing interned -- when the table cannot hold them.
+
+        Fresh objects are taken from ``column``, the caller's own id objects
+        (no new Python ints are minted), or from ``ids`` when there is none.
+        """
+        high = int(ids.max())
+        # len(ids) bounds the fresh ids, so ids failing this check would
+        # leave the table past its bound however many are new.
+        if int(ids.min()) < 0 or high >= self._slot_bound(len(ids)):
+            return None
+        self._reserve(high)
+        slots = self._slots
+        codes = slots[ids]
+        where = _np.flatnonzero(codes < 0)
+        if where.size:
+            fresh = ids[where]
+            order = _np.arange(fresh.size)
+            slots[fresh[::-1]] = order[::-1]  # last write wins = first occurrence
+            new = where[slots[fresh] == order]
+            start = len(self._objects)
+            slots[ids[new]] = _np.arange(start, start + new.size)
+            codes[where] = slots[fresh]
+            if column is None:
+                self._objects.extend(ids[new].tolist())
+            elif new.size == ids.size:
+                self._objects.extend(column)  # every id fresh and distinct
+            else:
+                self._objects.extend(map(column.__getitem__, new.tolist()))
+            # The exact post-intern bound: a sparse column may have grown
+            # the table past it -- its codes stand, the dict takes over.
+            if len(slots) > self._slot_bound():
+                self._to_dict_mode()
+        return codes
+
     def code_of(self, object_id: ObjectId, default: int = -1) -> int:
-        """The existing code of ``object_id``, or ``default`` -- never interns."""
-        if not self._objects:
-            if type(object_id) is int and 0 <= object_id < self._dense:
-                return object_id
-            return default
-        return self._codes.get(object_id, default)
+        """The existing code of ``object_id``, or ``default`` -- never interns.
+
+        Slot mode keeps dict-lookup semantics: every key is an ``int``
+        below the table length, and such an int hashes to itself, so the
+        only candidate is the slot at ``hash(object_id)`` -- matched by
+        identity or ``==`` exactly as a dict would (``True`` finds ``1``).
+        """
+        slots = self._slots
+        if slots is None:
+            return self._codes.get(object_id, default)
+        slot = hash(object_id)
+        if 0 <= slot < len(slots):
+            code = int(slots[slot])
+            if code >= 0:
+                known = self._objects[code]
+                if known is object_id or known == object_id:
+                    return code
+        return default
 
     def object(self, code: int) -> ObjectId:
         """The object carrying ``code`` (inverse of :meth:`intern`)."""
-        return code if not self._objects else self._objects[code]
+        return self._objects[code]
+
+    def decode(self, codes: Iterable[int]) -> List[ObjectId]:
+        """The objects carrying ``codes``; a ``range(n)`` is one list slice."""
+        if isinstance(codes, range) and codes.step == 1:
+            return self._objects[codes.start : codes.stop]
+        return list(map(self._objects.__getitem__, codes))
+
+    def _is_identity(self) -> bool:
+        """Whether every code ``c`` holds the int ``c`` -- the id space
+        ``("dense", n)`` stands for."""
+        objects = self._objects
+        if self._slots is not None:
+            return bool((self._slots[: len(objects)] == _np.arange(len(objects))).all())
+        return all(type(o) is int and o == c for c, o in enumerate(objects))
 
     def to_snapshot(self) -> Tuple:
-        """The id space as a picklable pair (dense count, or the object list).
+        """The id space as a picklable pair.
 
-        Dense mode serializes as a single integer; dict mode ships the
-        object list in code order (codes are its indices), which
-        :meth:`from_snapshot` inverts exactly -- codes never move across a
-        snapshot round trip.
+        A slot-mode interner ships its ids as one packed integer column in
+        code order (``("ids", packed)``, cut straight from the slot table);
+        a dict-mode interner ships its object list.  :meth:`from_snapshot`
+        inverts both exactly -- codes never move across a snapshot round
+        trip.
         """
-        if not self._objects:
-            return ("dense", self._dense)
-        return ("objects", list(self._objects))
+        slots = self._slots
+        if slots is None:
+            return ("objects", list(self._objects))
+        held = _np.flatnonzero(slots >= 0)
+        ids = _np.empty(len(self._objects), dtype=_np.int64)
+        ids[slots[held]] = held
+        return ("ids", _pack_array(ids))
 
     def tail(self, start: int) -> Tuple:
         """The id-space delta since the first ``start`` codes, as a payload.
 
-        Dense mode ships only the current count (integer ids are their own
-        codes); dict mode ships the object-list slice ``[start:]`` in code
-        order.  :meth:`extend_tail` applies the payload to an interner whose
-        first ``start`` codes match -- the journal's replay contract.
+        The object-list slice ``[start:]`` in code order; :meth:`extend_tail`
+        applies it to an interner whose first ``start`` codes match -- the
+        journal's replay contract.
         """
-        if not self._objects:
-            return ("dense", self._dense)
-        return ("objects", list(self._objects[start:]))
+        return ("objects", self._objects[start:])
 
     def extend_tail(self, payload: Tuple, start: int) -> None:
         """Apply a :meth:`tail` payload recorded at id-space size ``start``.
@@ -177,58 +280,135 @@ class ObjectInterner:
         The interner must hold exactly the first ``start`` codes the payload
         was cut at (interning is deterministic, so a state restored from an
         older checkpoint always does); misaligned payloads raise
-        ``ValueError`` rather than silently shifting codes.
+        ``ValueError`` rather than silently shifting codes.  Legacy
+        ``("dense", n)`` tails -- the identity id space ``0..n-1`` earlier
+        builds journaled -- extend an interner whose codes are that
+        identity.
         """
         kind, data = payload
         if kind == "dense":
-            if self._objects:
-                raise ValueError("a dense id-space tail cannot extend a dict-mode interner")
-            self._dense = max(self._dense, data)
-            return
-        if kind != "objects":
+            count = _dense_count(data)
+            if not self._is_identity():
+                raise ValueError(
+                    "a dense id-space tail cannot extend an interner whose codes are not "
+                    "the identity on 0..n-1"
+                )
+            data = range(len(self._objects), max(count, len(self._objects)))
+        elif kind != "objects":
             raise ValueError(f"unknown object-interner tail kind {kind!r}")
-        self._leave_dense_mode()
-        if len(self._objects) != start:
+        elif len(self._objects) != start:
             raise ValueError(
                 f"object-id tail recorded at size {start} cannot extend an interner "
                 f"holding {len(self._objects)} codes"
             )
-        codes = self._codes
-        objects = self._objects
-        for object_id in data:
-            codes[object_id] = len(objects)
-            objects.append(object_id)
+        self._append_fresh(data)
+
+    def _append_fresh(self, data) -> None:
+        """Intern ids that must all be new, in order: snapshot restore and
+        journal-tail replay.
+
+        ``data`` is a sequence of ids or an int64 array of them.  A payload
+        that repeats an id raises ``ValueError``; on the dict path the check
+        runs before anything is interned.
+        """
+        start = len(self._objects)
+        if not len(data):
+            return
+        if self._slots is not None:
+            if isinstance(data, _np.ndarray):
+                ids, column = data, None
+            else:
+                ids, column = _int_array(data), data
+            if ids is not None and self._intern_ids(ids, column) is not None:
+                if len(self._objects) != start + len(data):
+                    raise ValueError("an object-id payload repeats an id")
+                return
+            self._to_dict_mode()
+        if _np is not None and isinstance(data, _np.ndarray):
+            data = data.tolist()
+        fresh = dict(zip(data, range(start, start + len(data))))
+        if len(fresh) != len(data) or not fresh.keys().isdisjoint(self._codes.keys()):
+            raise ValueError("an object-id payload repeats an id")
+        if self._codes:
+            self._codes.update(fresh)
+        else:
+            self._codes = fresh
+        self._objects.extend(data)
 
     @classmethod
     def from_snapshot(cls, payload: Tuple) -> "ObjectInterner":
-        """Rebuild the id space serialized by :meth:`to_snapshot`."""
+        """Rebuild the id space serialized by :meth:`to_snapshot`.
+
+        ``n`` of a ``("dense", n)`` payload is validated before anything is
+        materialized; the form is also what earlier builds wrote for their
+        dense interner mode.
+        """
         kind, data = payload
         interner = cls()
         if kind == "dense":
-            interner._dense = data
+            interner._append_fresh(range(_dense_count(data)))
+        elif kind == "ids":
+            interner._append_fresh(_unpack_ints(data, COLUMN_WIRE_LIMIT))
         elif kind == "objects":
-            interner._objects = list(data)
-            # dict(zip(...)) builds the inverse map in C -- on a 10^5-object
-            # snapshot this is the single hottest line of a restore.
-            interner._codes = dict(zip(data, range(len(data))))
+            interner._append_fresh(data)
         else:
             raise ValueError(f"unknown object-interner snapshot kind {kind!r}")
         return interner
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ObjectInterner({len(self)} objects)"
+        mode = "dict" if self._slots is None else "slots"
+        return f"ObjectInterner({len(self)} objects, {mode})"
+
+
+def _int_array(column: Sequence[ObjectId]):
+    """``column`` as an int64 ndarray when every id is a plain ``int`` that
+    fits (checked in C), else ``None``."""
+    if set(map(type, column)) != _INT_ONLY:
+        return None
+    try:
+        return _np.fromiter(column, dtype=_np.int64, count=len(column))
+    except OverflowError:
+        return None
+
+
+def _dense_count(count) -> int:
+    """The object count of a ``("dense", n)`` payload, bounds-checked."""
+    if type(count) is not int or not 0 <= count <= DENSE_WIRE_LIMIT:
+        raise ValueError(
+            f"a dense id-space payload must count 0..{DENSE_WIRE_LIMIT} objects, not {count!r}"
+        )
+    return count
+
+
+#: Packed-column typecodes, narrowest first, with the largest value each
+#: holds.  ``"I"`` is taken only where ``array`` makes it 4 bytes wide.
+_TYPECODES = {"B": 0xFF, "H": 0xFFFF, "I": 0xFFFFFFFF, "q": (1 << 63) - 1}
+if array("I").itemsize != 4:  # pragma: no cover - no mainstream platform
+    del _TYPECODES["I"]
+
+
+def _narrowest_typecode(high: int) -> str:
+    return next((code for code, top in _TYPECODES.items() if high <= top), "q")
 
 
 def _pack_column(values: Sequence[int], compress: bool = True) -> Tuple[str, int, bytes]:
     """``(typecode, zlib flag, data)`` with the narrowest dtype that fits."""
     high = max(values, default=0)
-    typecode = "B" if high <= 0xFF else ("H" if high <= 0xFFFF else "q")
+    typecode = _narrowest_typecode(high)
     raw = array(typecode, values).tobytes()
     if compress:
         packed = zlib.compress(raw, _PAYLOAD_ZLIB_LEVEL)
         if len(packed) < len(raw):
             return typecode, 1, packed
     return typecode, 0, raw
+
+
+def _pack_array(values) -> Tuple[str, int, bytes]:
+    """:func:`_pack_column` for an int64 ndarray, uncompressed: the
+    narrowest typecode and the buffer bytes, readable without numpy."""
+    high = int(values.max()) if values.size else 0
+    typecode = _narrowest_typecode(high)
+    return typecode, 0, values.astype(_np.dtype(typecode), copy=False).tobytes()
 
 
 def _unpack_column(packed: Tuple[str, int, bytes], limit: Optional[int] = None) -> List[int]:
@@ -239,6 +419,34 @@ def _unpack_column(packed: Tuple[str, int, bytes], limit: Optional[int] = None) 
     ``MemoryError``: decompression stops at the bound and raises
     ``ValueError`` instead of materializing the claimed size.
     """
+    typecode, data = _unpacked_bytes(packed, limit)
+    column = array(typecode)
+    column.frombytes(data)
+    return column.tolist()
+
+
+def _unpack_array(packed: Tuple[str, int, bytes], limit: Optional[int] = None):
+    """:func:`_unpack_column` into an ndarray (needs numpy) -- no list."""
+    typecode, data = _unpacked_bytes(packed, limit)
+    if typecode not in _TYPECODES:
+        raise ValueError(f"unknown packed column typecode {typecode!r}")
+    return _np.frombuffer(data, dtype=_np.dtype(typecode))
+
+
+def _unpack_ints(packed: Tuple[str, int, bytes], limit: int, through: Optional[List[int]] = None):
+    """A packed column decoded under ``limit``, optionally mapped through
+    the ``through`` lookup list: an int64 ndarray when numpy is present
+    (the layout the vector kernel sweeps), else a list."""
+    if _np is None:
+        column = _unpack_column(packed, limit)
+        return column if through is None else list(map(through.__getitem__, column))
+    column = _unpack_array(packed, limit)
+    if through is None:
+        return column.astype(_np.int64)
+    return _np.asarray(through, dtype=_np.int64)[column]
+
+
+def _unpacked_bytes(packed: Tuple[str, int, bytes], limit: Optional[int]) -> Tuple[str, bytes]:
     typecode, compressed, data = packed
     if compressed:
         if limit is None:
@@ -250,30 +458,57 @@ def _unpack_column(packed: Tuple[str, int, bytes], limit: Optional[int] = None) 
                 raise ValueError(f"packed column inflates past the {limit}-byte bound")
     elif limit is not None and len(data) > limit:
         raise ValueError(f"packed column carries more than the {limit}-byte bound")
-    column = array(typecode)
-    column.frombytes(data)
-    return column.tolist()
+    return typecode, data
+
+
+def _split_column(values) -> Tuple[Optional[List[int]], object]:
+    """``(list, None)`` or ``(None, int64 ndarray)`` for one batch column."""
+    if _np is not None and isinstance(values, _np.ndarray):
+        return None, values.astype(_np.int64, copy=False)
+    return (values if isinstance(values, list) else list(values)), None
+
+
+def _column_max(values: Optional[List[int]], array_values) -> int:
+    if array_values is not None:
+        return int(array_values.max()) if array_values.size else -1
+    return max(values, default=-1)
+
+
+def _packed(values: Optional[List[int]], array_values) -> Tuple[str, int, bytes]:
+    """One batch column in the uncompressed :func:`_pack_column` form.
+
+    An ndarray column narrows for the price of one ``max`` and a cast; a
+    list column stays 8-byte ``"q"`` rather than pay a Python ``max`` scan.
+    """
+    if array_values is not None:
+        return _pack_array(array_values)
+    return "q", 0, array("q", values).tobytes()
 
 
 class EncodedBatch:
     """An interleaved event batch encoded once into dense integer columns.
 
-    ``ids`` and ``codes`` expose the columns as ``array('q')``; the kernel
-    sweeps the plain-list views (:attr:`id_list` / :attr:`code_list`), which
-    index faster.  A batch is immutable once built and remembers the
+    Each column is an ``int64`` ndarray, a plain list, or both.  A batch
+    encoded through the interner's slot table is born as ndarrays -- the
+    vector kernel's native layout, so ``len``, :attr:`max_id` and
+    :attr:`max_code` never touch a list -- while dict-path and wire-decoded
+    batches are born as lists.  The other form is derived on first use and
+    cached: :attr:`id_list` / :attr:`code_list` for the consumers that sweep
+    per event in Python (the fused kernel, enforcement records, traces,
+    payloads), :attr:`id_array` / :attr:`code_array` for the vector kernel.
+    A batch is immutable once built and remembers the
     :class:`ObjectInterner` that owns its id space, so streams can adopt a
     pre-encoded batch without re-hashing anything.
     """
 
     __slots__ = (
-        "id_list",
-        "code_list",
         "objects",
         "alphabet",
         "max_code",
+        "_len",
         "_max_id",
-        "_ids",
-        "_codes",
+        "_id_list",
+        "_code_list",
         "_np_ids",
         "_np_codes",
         "_np_plan",
@@ -281,14 +516,15 @@ class EncodedBatch:
 
     def __init__(
         self,
-        id_list: List[int],
-        code_list: List[int],
+        ids,
+        codes,
         objects: ObjectInterner,
         alphabet: Optional[RoleSetAlphabet] = None,
         max_code: Optional[int] = None,
     ) -> None:
-        self.id_list = id_list
-        self.code_list = code_list
+        self._id_list, self._np_ids = _split_column(ids)
+        self._code_list, self._np_codes = _split_column(codes)
+        self._len = len(self._id_list if self._np_ids is None else self._np_ids)
         self.objects = objects
         #: The alphabet the codes were minted against (``None`` after a wire
         #: round trip); streams refuse batches from a foreign alphabet.
@@ -298,15 +534,13 @@ class EncodedBatch:
         #: gate's admitted subset): validation only compares it against the
         #: alphabet size, so inheriting the parent's bound is safe and skips
         #: an O(n) scan.
-        self.max_code = max(code_list, default=-1) if max_code is None else max_code
+        if max_code is None:
+            max_code = _column_max(self._code_list, self._np_codes)
+        self.max_code = max_code
         self._max_id: Optional[int] = None
-        self._ids: Optional[array] = None
-        self._codes: Optional[array] = None
-        #: ndarray views of the columns and the cached peel plan, filled by
-        #: :mod:`repro.engine.vector` (a batch is immutable, so both are
-        #: derived once and shared by every stream the batch is fed to).
-        self._np_ids = None
-        self._np_codes = None
+        #: The cached peel plan, filled by :mod:`repro.engine.vector` (a
+        #: batch is immutable, so it is derived once and shared by every
+        #: stream the batch is fed to).
         self._np_plan = None
 
     @classmethod
@@ -320,46 +554,98 @@ class EncodedBatch:
 
         Unseen symbols are interned into ``alphabet`` (append-only, so codes
         already handed out never move); unseen objects are interned into
-        ``objects`` (a fresh interner when not given).
+        ``objects`` (a fresh interner when not given).  When the ids take
+        the interner's slot path, both columns come out as ndarrays.
         """
         events = events if isinstance(events, (list, tuple)) else list(events)
         interner = objects if objects is not None else ObjectInterner()
         if not events:
             return cls([], [], interner, alphabet)
-        raw_ids = list(map(itemgetter(0), events))
-        raw_symbols = list(map(itemgetter(1), events))
-        return cls(
-            interner.intern_column(raw_ids), alphabet.encode_column(raw_symbols), interner, alphabet
-        )
+        ids = interner.encode_column(list(map(itemgetter(0), events)))
+        codes = alphabet.encode_column(list(map(itemgetter(1), events)))
+        if not isinstance(ids, list):
+            codes = _np.fromiter(codes, dtype=_np.int64, count=len(codes))
+        return cls(ids, codes, interner, alphabet)
 
     def __len__(self) -> int:
-        return len(self.id_list)
+        return self._len
+
+    @property
+    def id_list(self) -> List[int]:
+        """The dense object-id column as a list."""
+        if self._id_list is None:
+            self._id_list = self._np_ids.tolist()
+        return self._id_list
+
+    @property
+    def code_list(self) -> List[int]:
+        """The symbol-code column as a list."""
+        if self._code_list is None:
+            self._code_list = self._np_codes.tolist()
+        return self._code_list
+
+    @property
+    def id_array(self):
+        """The dense object-id column as an ``int64`` ndarray (needs numpy)."""
+        if self._np_ids is None:
+            self._np_ids = _np.fromiter(self._id_list, dtype=_np.int64, count=self._len)
+        return self._np_ids
+
+    @property
+    def code_array(self):
+        """The symbol-code column as an ``int64`` ndarray (needs numpy)."""
+        if self._np_codes is None:
+            self._np_codes = _np.fromiter(self._code_list, dtype=_np.int64, count=self._len)
+        return self._np_codes
 
     @property
     def max_id(self) -> int:
         """The largest dense object id in the batch (``-1`` when empty)."""
         if self._max_id is None:
-            self._max_id = max(self.id_list, default=-1)
+            self._max_id = _column_max(self._id_list, self._np_ids)
         return self._max_id
 
     @property
     def ids(self) -> array:
         """The object-id column as ``array('q')``."""
-        if self._ids is None:
-            self._ids = array("q", self.id_list)
-        return self._ids
+        return array("q", self.id_list)
 
     @property
     def codes(self) -> array:
         """The symbol-code column as ``array('q')``."""
-        if self._codes is None:
-            self._codes = array("q", self.code_list)
-        return self._codes
+        return array("q", self.code_list)
+
+    def packed_columns(self) -> Tuple[Tuple, Tuple]:
+        """Both columns as uncompressed ``(typecode, 0, bytes)`` packed
+        columns (:func:`_unpack_column` reads them): the WAL record layout."""
+        return _packed(self._id_list, self._np_ids), _packed(self._code_list, self._np_codes)
+
+    def without(self, positions: Sequence[int]) -> "EncodedBatch":
+        """The sub-batch with the events at sorted, distinct ``positions`` removed.
+
+        Keeps this batch's column layout and ``max_code`` bound; the list
+        form is cut by slice-extends over the runs between removed
+        positions, so the cost is O(#positions) list operations.
+        """
+        if self._np_ids is not None and self._np_codes is not None:
+            ids = _np.delete(self._np_ids, positions)
+            codes = _np.delete(self._np_codes, positions)
+        else:
+            id_list, code_list = self.id_list, self.code_list
+            ids, codes = [], []
+            previous = 0
+            for p in positions:
+                ids.extend(id_list[previous:p])
+                codes.extend(code_list[previous:p])
+                previous = p + 1
+            ids.extend(id_list[previous:])
+            codes.extend(code_list[previous:])
+        return EncodedBatch(ids, codes, self.objects, self.alphabet, max_code=self.max_code)
 
     def to_payload(self, compress: bool = True) -> Tuple:
         """Column bytes for the wire (the id space itself is not shipped)."""
         return (
-            len(self.id_list),
+            self._len,
             _pack_column(self.id_list, compress),
             _pack_column(self.code_list, compress),
         )
@@ -375,7 +661,7 @@ class EncodedBatch:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EncodedBatch({len(self.id_list)} events)"
+        return f"EncodedBatch({self._len} events)"
 
 
 class ColumnarHistorySet:
@@ -451,6 +737,11 @@ class ColumnarHistorySet:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnarHistorySet({len(self)} histories, {len(self.code_list)} events)"
+
+
+def _is_prefix(seen: Iterable[int]) -> bool:
+    """Whether ``seen`` is ``range(n)``: every dense id below ``n``."""
+    return isinstance(seen, range) and seen.start == 0 and seen.step == 1
 
 
 class ProductCapExceeded(Exception):
@@ -629,6 +920,25 @@ class FusedKernel:
         self.obs = None
         self.groups: List[_ProductGroup] = []
         self.locate: Dict[str, Tuple[int, int]] = {}
+        # Realistic spec sets fit one group: try that first, so the greedy
+        # packing does not rebuild the product once per spec prefix (it
+        # would end with this very group).
+        whole = None
+        if len(specs) > 1:
+            whole = _build_group(self.names, [spec for _name, spec in specs], width, cap)
+        if whole is not None:
+            self.groups.append(whole)
+        else:
+            self._pack_greedily(specs, width, cap)
+        for group_index, group in enumerate(self.groups):
+            for j, name in enumerate(group.names):
+                self.locate[name] = (group_index, j)
+
+    def _pack_greedily(
+        self, specs: Sequence[Tuple[str, CompiledSpec]], width: int, cap: int
+    ) -> None:
+        """Pack specs into groups in order, sealing a group when the next
+        spec would blow the state cap."""
         pending_names: List[str] = []
         pending_specs: List[CompiledSpec] = []
         current: Optional[_ProductGroup] = None
@@ -652,9 +962,6 @@ class FusedKernel:
                 pending_names, pending_specs, current = [], [], None
         if current is not None:
             self.groups.append(current)
-        for group_index, group in enumerate(self.groups):
-            for j, name in enumerate(group.names):
-                self.locate[name] = (group_index, j)
 
     # ------------------------------------------------------------------ #
     # Streaming
@@ -678,10 +985,10 @@ class FusedKernel:
         which the batch introduces no new objects to) skips its pass
         entirely -- the doomed-population early exit.
         """
+        if not len(batch):
+            return 0
         id_list = batch.id_list
         code_list = batch.code_list
-        if not id_list:
-            return 0
         obs = self.obs
         if obs is not None:
             obs.batches_total.inc()
@@ -783,7 +1090,7 @@ class FusedKernel:
         indices)``.  Later events of the same object screen against the
         state *without* the rejected event -- exactly the ``reject_event``
         skip-and-continue semantics.  Returns ``(new columns, rejections)``;
-        rejections are in plan order, not necessarily position order.
+        rejections are in position order.
         """
         copies = [list(column) for column in columns]
         rejections: List[Tuple] = []
@@ -857,14 +1164,16 @@ class FusedKernel:
                 results[name] = per_spec[j]
         return results
 
-    def verdicts_of(
-        self, name: str, column_set: List[list], seen: Iterable[int]
-    ) -> Dict[int, bool]:
-        """Dense-id verdicts for one spec over the tracked population."""
+    def verdicts_of(self, name: str, column_set: List[list], seen: Iterable[int]) -> List[bool]:
+        """One spec's verdicts for the dense ids in ``seen``, in ``seen`` order."""
         group_index, j = self.locate[name]
         accepting = self.groups[group_index].accepting[j]
         column = column_set[group_index]
-        return {o: accepting[column[o][-1]] == 1 for o in seen}
+        if _is_prefix(seen):
+            rows = column[: len(seen)]
+        else:
+            rows = map(column.__getitem__, seen)
+        return [accepting[row[-1]] == 1 for row in rows]
 
     def state_of(self, columns: List[list], group_index: int, dense: int) -> int:
         """The dense product-state index of one object in one group.
@@ -1021,15 +1330,14 @@ class FusedKernel:
                     for signature in states
                 ]
             lookup = [group.ensure_state(tuple(signature)) for signature in states]
-            index_columns.append(
-                list(
-                    map(
-                        lookup.__getitem__,
-                        _unpack_column(payload["column"], limit=COLUMN_WIRE_LIMIT),
-                    )
-                )
-            )
+            index_columns.append(self._unpack_indices(lookup, payload["column"]))
         return self._columns_from_indices(index_columns)
+
+    def _unpack_indices(self, lookup: List[int], packed: Tuple) -> List[int]:
+        """A packed snapshot column of positions into ``lookup``, resolved
+        to dense state indices (in the layout :meth:`_columns_from_indices`
+        reads)."""
+        return list(map(lookup.__getitem__, _unpack_column(packed, limit=COLUMN_WIRE_LIMIT)))
 
     # ------------------------------------------------------------------ #
     # Batch checking

@@ -1186,7 +1186,6 @@ class StreamChecker:
             return EnforcementReport(0, (), policy)
         copies, raw = kernel.advance_all_enforced(self._columns, batch)
         if raw:
-            raw.sort()  # kernel emits plan order; positions are unique
             if obs is not None:
                 obs.enforce_rejections.inc(len(raw))
             if policy == "reject_batch":
@@ -1217,33 +1216,14 @@ class StreamChecker:
                 self._note_seen(batch)
                 self.events_seen += n_admitted
                 return EnforcementReport(n_admitted, records, policy, rejections=len(raw))
-            # Assemble the admitted sub-batch from the runs between rejected
-            # positions (raw is position-sorted): slice-extends keep this
-            # O(#rejections) list operations, not O(#events) Python steps.
-            id_list, code_list = batch.id_list, batch.code_list
-            admitted_ids, admitted_codes = [], []
-            previous = 0
-            for r in raw:
-                p = r[0]
-                admitted_ids.extend(id_list[previous:p])
-                admitted_codes.extend(code_list[previous:p])
-                previous = p + 1
-            admitted_ids.extend(id_list[previous:])
-            admitted_codes.extend(code_list[previous:])
-            admitted = EncodedBatch(
-                admitted_ids,
-                admitted_codes,
-                self._interner,
-                batch.alphabet,
-                max_code=batch.max_code,
-            )
+            admitted = batch.without([r[0] for r in raw])
         else:
             records = []
             admitted = batch
         if pre_commit is not None:
             pre_commit(admitted)
         self._columns = copies
-        n_admitted = len(admitted.id_list)
+        n_admitted = len(admitted)
         if n_admitted:
             if self._traces is not None:
                 self._record_traces(admitted)
@@ -1343,7 +1323,7 @@ class StreamChecker:
     def objects(self, name: Optional[str] = None) -> Tuple[ObjectId, ...]:
         """The objects observed so far (for one spec, or the first)."""
         selected = name if name is not None else self._names[0]
-        return tuple(map(self._interner.object, self._seen_codes(selected)))
+        return tuple(self._interner.decode(self._seen_codes(selected)))
 
     def verdict(self, name: str, object_id: ObjectId) -> bool:
         """Whether one object's history so far satisfies one spec."""
@@ -1356,9 +1336,8 @@ class StreamChecker:
     def verdicts(self, name: str) -> Dict[ObjectId, bool]:
         """Per-object verdicts for one spec."""
         kernel = self._resolve_kernel()
-        dense = kernel.verdicts_of(name, self._columns, self._seen_codes(name))
-        decode = self._interner.object
-        return {decode(code): verdict for code, verdict in dense.items()}
+        seen = self._seen_codes(name)
+        return dict(zip(self._interner.decode(seen), kernel.verdicts_of(name, self._columns, seen)))
 
     def all_verdicts(self) -> Dict[str, Dict[ObjectId, bool]]:
         """Per-object verdicts for every spec of the session."""

@@ -68,7 +68,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.engine.batch import (
     COLUMN_WIRE_LIMIT,
     EncodedBatch,
-    _unpack_column,
+    _unpack_ints,
 )
 from repro.engine.snapshot import SnapshotError, _RestrictedUnpickler
 from repro.testing.faults import fire as _fire
@@ -305,24 +305,21 @@ class DurableStream:
             alphabet.symbol(code) for code in range(self._symbols_recorded, len(alphabet))
         ]
         interner = self.stream._interner
+        ids, codes = batch.packed_columns()
         body = pickle.dumps(
             {
                 "symbols": symbol_delta,
                 "objects": interner.tail(self._objects_recorded),
                 "objects_before": self._objects_recorded,
                 "count": len(batch),
-                # Raw int64 columns, not `_pack_column`: WAL records only
-                # live until the next checkpoint prunes them, so narrowing
-                # and zlib would buy disk nobody keeps while costing a
-                # max() scan plus a re-encode per batch on the hot append
-                # path (the E27 overhead gate).  `batch.ids`/`batch.codes`
-                # are the cached ``array('q')`` views the vectorized kernel
-                # is about to build anyway -- materializing them here is
-                # amortized, and ``tobytes`` is a flat memcpy.  The tuple
-                # shape matches `_pack_column`, so replay still goes
-                # through `_unpack_column` with its decode bounds.
-                "ids": ("q", 0, batch.ids.tobytes()),
-                "codes": ("q", 0, batch.codes.tobytes()),
+                # Uncompressed packed columns: WAL records only live until
+                # the next checkpoint prunes them, so zlib would buy disk
+                # nobody keeps at a per-batch cost on the hot append path
+                # (the E27 overhead gate).  Ndarray columns narrow for free
+                # (codes usually to one byte); replay goes through the same
+                # bounded decode as snapshots.
+                "ids": ids,
+                "codes": codes,
             },
             protocol=4,
         )
@@ -534,11 +531,11 @@ def _replay_segment(stream, reader: _SegmentReader, seq: int, obs) -> Tuple[int,
                         f"{payload['objects_before']}, session holds {len(interner)}"
                     )
                 interner.extend_tail(payload["objects"], payload["objects_before"])
-                ids = _unpack_column(payload["ids"], limit=COLUMN_WIRE_LIMIT)
-                codes = _unpack_column(payload["codes"], limit=COLUMN_WIRE_LIMIT)
+                ids = _unpack_ints(payload["ids"], COLUMN_WIRE_LIMIT)
+                codes = _unpack_ints(payload["codes"], COLUMN_WIRE_LIMIT, through=recode)
                 if len(ids) != payload["count"] or len(codes) != payload["count"]:
                     raise ValueError("column lengths disagree with the record count")
-                batch = EncodedBatch(ids, list(map(recode.__getitem__, codes)), interner, alphabet)
+                batch = EncodedBatch(ids, codes, interner, alphabet)
                 if batch.max_id >= len(interner):
                     raise ValueError("an event references an unrecorded object id")
                 stream.feed_events(batch)

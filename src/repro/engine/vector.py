@@ -54,10 +54,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.batch import (
     _PAYLOAD_ZLIB_LEVEL,
+    COLUMN_WIRE_LIMIT,
     ColumnarHistorySet,
     EncodedBatch,
     FusedKernel,
+    _is_prefix,
+    _pack_array,
     _ProductGroup,
+    _unpack_array,
 )
 from repro.engine.compiler import CompiledSpec
 
@@ -90,25 +94,8 @@ def _dtype_for(n_states: int):
 
 
 # --------------------------------------------------------------------------- #
-# Column caches on the shared batch types
+# Column caches on the history-set type
 # --------------------------------------------------------------------------- #
-def _id_array(batch: EncodedBatch):
-    """The batch id column as an int64 ndarray (zero-copy view, cached).
-
-    ``batch.ids`` is built once and never resized, so a buffer view is safe.
-    """
-    if batch._np_ids is None:
-        batch._np_ids = np.frombuffer(batch.ids, dtype=np.int64)
-    return batch._np_ids
-
-
-def _code_array(batch: EncodedBatch):
-    """The batch code column as an int64 ndarray (zero-copy view, cached)."""
-    if batch._np_codes is None:
-        batch._np_codes = np.frombuffer(batch.codes, dtype=np.int64)
-    return batch._np_codes
-
-
 def _history_code_array(history_set: ColumnarHistorySet):
     """The flat history code column as an ndarray (zero-copy view, cached)."""
     if history_set._np_codes is None:
@@ -169,14 +156,7 @@ def pack_index_array(values) -> Tuple[str, int, bytes]:
     snapshots written by either kernel kind restore under the other -- but
     narrows and serializes straight from the array buffer.
     """
-    high = int(values.max()) if values.size else 0
-    if high <= 0xFF:
-        typecode, dtype = "B", np.uint8
-    elif high <= 0xFFFF:
-        typecode, dtype = "H", np.uint16
-    else:
-        typecode, dtype = "q", np.int64
-    raw = np.ascontiguousarray(values.astype(dtype, copy=False)).tobytes()
+    typecode, _flag, raw = _pack_array(values)
     packed = zlib.compress(raw, _PAYLOAD_ZLIB_LEVEL)
     if len(packed) < len(raw):
         return typecode, 1, packed
@@ -227,11 +207,25 @@ class _GroupTable:
     :meth:`VectorKernel.grow_columns` propagates to the columns.
     """
 
-    __slots__ = ("n_states", "table", "accepting", "alive", "doomed", "sink_index", "scalar_rows")
+    __slots__ = (
+        "n_states",
+        "table",
+        "by_code",
+        "accepting",
+        "alive",
+        "doomed",
+        "sink_index",
+        "scalar_rows",
+    )
 
     def __init__(self) -> None:
         self.n_states = -1
         self.table = None
+        #: The table flattened code-major (``by_code[c * n_states + s]`` is
+        #: ``table[s, c]``): a peel round's successors are then one 1-D
+        #: ``take`` at the plan's scaled codes (:func:`_scaled_codes`) plus
+        #: the states -- cheaper than a 2-D fancy index.
+        self.by_code = None
         self.accepting: List = []
         #: Per product state, 1 iff no spec component is doomed -- the
         #: vectorized admissibility vector of the enforcement gate.
@@ -252,6 +246,7 @@ class _GroupTable:
             flat = [cell[-1] for row in group.rows for cell in row[:width]]
             table = np.array(flat, dtype=np.int64).reshape(n, width)
         self.table = table.astype(_dtype_for(n))
+        self.by_code = np.ascontiguousarray(self.table.T).ravel()
         # bytes() copies: the group bytearrays keep growing in place.
         self.accepting = [np.frombuffer(bytes(acc), dtype=np.uint8) for acc in group.accepting]
         self.alive = np.frombuffer(bytes(group.alive), dtype=np.uint8)
@@ -322,16 +317,13 @@ class VectorKernel(FusedKernel):
                 )
 
     def advance_all(self, columns: List, batch: EncodedBatch) -> int:
-        count = len(batch.id_list)
+        count = len(batch)
         if not count:
             return 0
         obs = self.obs
         if obs is not None:
             obs.batches_total.inc()
             obs.events_total.inc(count)
-        ids = _id_array(batch)
-        if batch._max_id is None:
-            batch._max_id = int(ids.max())
         max_id = batch.max_id
         active: List[int] = []
         for gi in range(len(self.groups)):
@@ -355,13 +347,14 @@ class VectorKernel(FusedKernel):
                 obs.plan_cache_hits.inc()
             else:
                 obs.plan_cache_misses.inc()
-        plan = _batch_plan(batch, ids, max_id)
+        plan = _batch_plan(batch)
         for gi in active:
-            table = self._tables[gi].table
+            by_code = self._tables[gi].by_code
             column = columns[gi]
-            for vectorized, objects, symbol_codes, _positions in plan:
+            scaled = _scaled_codes(batch, self._tables[gi].n_states)
+            for (vectorized, objects, symbol_codes, _positions), offsets in zip(plan, scaled):
                 if vectorized:
-                    column[objects] = table[column[objects], symbol_codes]
+                    column[objects] = by_code.take(offsets + column.take(objects))
                 else:
                     self._advance_scalar(gi, column, objects, symbol_codes)
         if obs is not None:
@@ -381,17 +374,14 @@ class VectorKernel(FusedKernel):
         for o, c in zip(objects.tolist(), symbol_codes.tolist()):
             column[o] = rows[column[o]][c]
 
-    def verdicts_of(self, name: str, column_set: List, seen: Iterable[int]) -> Dict[int, bool]:
+    def verdicts_of(self, name: str, column_set: List, seen: Iterable[int]) -> List[bool]:
         group_index, j = self.locate[name]
-        tab = self._table(group_index)
         column = column_set[group_index]
-        accepting = tab.accepting[j]
-        if isinstance(seen, range) and seen.start == 0 and seen.step == 1:
-            flags = accepting[column[: len(seen)]]
-            return dict(enumerate(map(bool, flags.tolist())))
-        dense = np.fromiter(seen, dtype=np.intp)
-        flags = accepting[column[dense]]
-        return dict(zip(dense.tolist(), map(bool, flags.tolist())))
+        if _is_prefix(seen):
+            states = column[: len(seen)]
+        else:
+            states = column[np.fromiter(seen, dtype=np.intp, count=len(seen))]
+        return (self._table(group_index).accepting[j][states] != 0).tolist()
 
     def state_of(self, columns: List, group_index: int, dense: int) -> int:
         column = columns[group_index]
@@ -422,8 +412,9 @@ class VectorKernel(FusedKernel):
 
         Same contract as :meth:`FusedKernel.advance_all_enforced` (copies,
         skip-and-continue semantics, ``(position, dense, code, states)``
-        rejection records), fused into the peel plan: each round gathers the
-        successors once, masks them through the group ``alive`` vectors,
+        rejection records in position order -- built lazily here, so
+        counting them is free), fused into the peel plan: each round gathers
+        the successors once, masks them through the group ``alive`` vectors,
         scatters them all and restores the refused few -- the all-admitted
         common case costs one extra 1-D flag gather per group over the
         plain feed, and a round with rejections costs O(#rejections) on
@@ -442,21 +433,23 @@ class VectorKernel(FusedKernel):
             tabs.append(tab)
             copies.append(column)
         rejections: List[Tuple] = []
-        if not batch.id_list:
+        if not len(batch):
             return copies, rejections
-        ids = _id_array(batch)
-        if batch._max_id is None:
-            batch._max_id = int(ids.max())
-        plan = _batch_plan(batch, ids, batch.max_id)
+        plan = _batch_plan(batch)
+        scaled = [_scaled_codes(batch, tab.n_states) for tab in tabs]
+        alive_flags = [tab.alive.view(np.bool_) for tab in tabs]
+        # Per round with refusals: (positions, objects, codes, pre-states
+        # per group) arrays, turned into records once, on first use.
+        refused: List[Tuple] = []
         group_range = range(n_groups)
-        for vectorized, objects, symbol_codes, positions in plan:
+        for k, (vectorized, objects, symbol_codes, positions) in enumerate(plan):
             if vectorized:
                 successors = []
                 ok = None
                 for gi in group_range:
-                    successor = tabs[gi].table[copies[gi][objects], symbol_codes]
+                    successor = tabs[gi].by_code.take(scaled[gi][k] + copies[gi].take(objects))
                     successors.append(successor)
-                    good = tabs[gi].alive[successor] != 0
+                    good = alive_flags[gi].take(successor)
                     ok = good if ok is None else ok & good
                 if ok is None or bool(ok.all()):
                     for gi in group_range:
@@ -473,14 +466,7 @@ class VectorKernel(FusedKernel):
                 for gi in group_range:
                     copies[gi][objects] = successors[gi]
                     copies[gi][bad_objects] = pre_states[gi]
-                rejections.extend(
-                    zip(
-                        positions[bad].tolist(),
-                        bad_objects.tolist(),
-                        symbol_codes[bad].tolist(),
-                        zip(*(pre.tolist() for pre in pre_states)),
-                    )
-                )
+                refused.append((positions[bad], bad_objects, symbol_codes[bad], pre_states))
             else:
                 # Skew fallback tail: events may repeat objects, so screen
                 # one event at a time across all groups.
@@ -502,7 +488,32 @@ class VectorKernel(FusedKernel):
                             copies[gi][o] = successor[gi]
                     else:
                         rejections.append((p, o, c, tuple(current)))
-        return copies, rejections
+        if not refused:
+            return copies, rejections
+        count = len(rejections) + sum(len(entry[0]) for entry in refused)
+
+        def build() -> List[Tuple]:
+            positions, objects, codes = (
+                np.concatenate([entry[i] for entry in refused]) for i in range(3)
+            )
+            order = np.argsort(positions, kind="stable")
+            states = [
+                np.concatenate([entry[3][gi] for entry in refused])[order].tolist()
+                for gi in group_range
+            ]
+            records = list(
+                zip(
+                    positions[order].tolist(),
+                    objects[order].tolist(),
+                    codes[order].tolist(),
+                    zip(*states),
+                )
+            )
+            if rejections:  # skew-fallback refusals interleave by position
+                records = sorted(records + rejections)
+            return records
+
+        return copies, _Rejections(count, build)
 
     def fatal_histories(self, code_list, lengths) -> Dict[str, List[Optional[int]]]:
         codes = np.asarray(code_list, dtype=np.int64)
@@ -563,7 +574,13 @@ class VectorKernel(FusedKernel):
     def snapshot_groups(self, columns: List) -> List[Dict]:
         groups: List[Dict] = []
         for group, column in zip(self.groups, columns):
-            occupied, inverse = np.unique(column, return_inverse=True)
+            # np.unique without the sort: state indices are small, so the
+            # occupied set and each object's position in it come from one
+            # bincount.
+            occupied = np.flatnonzero(np.bincount(column))
+            position = np.zeros(occupied[-1] + 1 if occupied.size else 0, dtype=np.int64)
+            position[occupied] = np.arange(occupied.size)
+            inverse = position[column]
             groups.append(
                 {
                     "names": group.names,
@@ -572,6 +589,9 @@ class VectorKernel(FusedKernel):
                 }
             )
         return groups
+
+    def _unpack_indices(self, lookup: List[int], packed: Tuple):
+        return np.asarray(lookup, dtype=np.int64)[_unpack_array(packed, limit=COLUMN_WIRE_LIMIT)]
 
     # ------------------------------------------------------------------ #
     # Batch checking
@@ -624,7 +644,36 @@ class VectorKernel(FusedKernel):
         return f"VectorKernel({len(self.names)} specs, states {sizes})"
 
 
-def _batch_plan(batch: EncodedBatch, ids, max_id: int) -> List[Tuple]:
+class _Rejections:
+    """A screened batch's rejection records, built on first access.
+
+    ``len`` never builds them, so a gate whose report only counts refusals
+    skips one Python tuple per refused event.
+    """
+
+    __slots__ = ("_count", "_build", "_records")
+
+    def __init__(self, count: int, build) -> None:
+        self._count = count
+        self._build = build
+        self._records: Optional[List[Tuple]] = None
+
+    def _materialized(self) -> List[Tuple]:
+        if self._records is None:
+            self._records, self._build = self._build(), None
+        return self._records
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._materialized()[index]
+
+    def __iter__(self):
+        return iter(self._materialized())
+
+
+def _batch_plan(batch: EncodedBatch) -> List[Tuple]:
     """The batch's peel plan: ``(vectorized, objects, codes, positions)`` entries.
 
     Each vectorized entry holds the first pending occurrence of every object
@@ -647,8 +696,9 @@ def _batch_plan(batch: EncodedBatch, ids, max_id: int) -> List[Tuple]:
     cached = batch._np_plan
     if cached is not None and cached[0] == PEEL_CHUNK:
         return cached[1]
-    codes = _code_array(batch)
-    pos = np.empty(max_id + 1, dtype=np.intp)
+    ids = batch.id_array
+    codes = batch.code_array
+    pos = np.empty(batch.max_id + 1, dtype=np.intp)
     plan: List[Tuple] = []
     rounds = 0
     scalar_events = 0
@@ -674,8 +724,21 @@ def _batch_plan(batch: EncodedBatch, ids, max_id: int) -> List[Tuple]:
             cur_ids = cur_ids[keep]
             cur_codes = cur_codes[keep]
             depth += 1
-    batch._np_plan = (PEEL_CHUNK, plan, (rounds, scalar_events))
+    batch._np_plan = (PEEL_CHUNK, plan, (rounds, scalar_events), {})
     return plan
+
+
+def _scaled_codes(batch: EncodedBatch, n_states: int) -> List:
+    """Per entry of the batch's (built) peel plan, its codes times
+    ``n_states``: the offsets into a code-major table of that height.
+
+    Cached on the plan per height, so a re-fed batch pays only the gathers.
+    """
+    cache = batch._np_plan[3]
+    scaled = cache.get(n_states)
+    if scaled is None:
+        scaled = cache[n_states] = [codes * n_states for _v, _o, codes, _p in batch._np_plan[1]]
+    return scaled
 
 
 __all__ = [

@@ -122,17 +122,22 @@ class RoleSetAlphabet:
         return len(self._symbols)
 
     def encode_column(self, column: Sequence[Symbol]) -> List[int]:
-        """Intern a whole event column in two C-speed passes.
+        """Intern a whole event column at C speed.
 
-        Unseen symbols are interned first (one pass over the *distinct*
-        symbols), then the column is mapped through the code table with
-        :func:`map`, avoiding a per-event interpreted loop.  This is the
-        encode-once primitive of the columnar event pipeline.
+        The column is mapped through the code table with :func:`map`,
+        avoiding a per-event interpreted loop.  Only when that meets an
+        unseen symbol are the column's *distinct* unseen symbols interned
+        (in canonical order, so codes do not depend on the hash seed) and
+        the map rerun -- a column of known symbols costs one pass.  This is
+        the encode-once primitive of the columnar event pipeline.
         """
+        try:
+            return list(map(self._codes.__getitem__, column))
+        except KeyError:
+            pass
         fresh = set(column).difference(self._codes)
-        if fresh:
-            for symbol in sorted(fresh, key=canonical_symbol_key):
-                self.intern(symbol)
+        for symbol in sorted(fresh, key=canonical_symbol_key):
+            self.intern(symbol)
         return list(map(self._codes.__getitem__, column))
 
     def symbol(self, code: int) -> Symbol:

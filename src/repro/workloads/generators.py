@@ -440,8 +440,8 @@ def encoded_event_stream(
 ):
     """A pre-encoded interleaved stream: interleave, then encode **once**.
 
-    The columnar twin of :func:`event_stream`: object ids are the (already
-    dense) history indexes and every symbol is encoded against ``alphabet``
+    The columnar twin of :func:`event_stream`: object ids are the history
+    indexes and every symbol is encoded against ``alphabet``
     -- pass ``engine.alphabet`` so the batch feeds straight into
     :meth:`repro.engine.engine.StreamChecker.feed_events` with zero
     per-spec hashing.

@@ -152,7 +152,7 @@ def test_empty_and_single_object_columns():
     assert kernel.check_histories([], []) == {"count": []}
     columns = kernel.new_columns(0)
     assert len(columns[0]) == 0
-    assert kernel.verdicts_of("count", columns, range(0)) == {}
+    assert kernel.verdicts_of("count", columns, range(0)) == []
     # A single object wraps the counter exactly once.
     assert kernel.check_histories([0] * 5, [5]) == {"count": [True]}
     kernel.grow_columns(columns, 1)
@@ -187,6 +187,28 @@ def test_skewed_batch_takes_the_scalar_fallback():
     assert batch._np_plan is not None
     assert any(not entry[0] for entry in batch._np_plan[1])
     assert vec_stream.all_verdicts() == verdicts[0]
+
+
+def test_skewed_enforced_batch_reports_rejections_in_position_order():
+    """Refusals from peel rounds and from the scalar skew tail of one chunk
+    merge into one position-ordered report, event for event the fused one."""
+    flood = [("hog", "zz" if i % 7 == 3 else "s0") for i in range(PEEL_DEPTH_LIMIT * 3)]
+    trickle = [(f"o{i}", "zz" if i % 2 else "s1") for i in range(6)]
+    # "zz" is in no spec, so it is always refused; "late" is peeled in the
+    # first round but sits after the hog's scalar tail.
+    events = flood[:10] + trickle + flood[10:] + [("late", "zz")]
+    outcomes = []
+    for kind in ("fused", "vector"):
+        engine = HistoryCheckerEngine(kernel=kind)
+        engine.add_spec("count", _counter_nfa(7))
+        stream = engine.open_stream()
+        report = stream.feed_events(events, enforce=True)
+        rejected = [(r.index, r.object_id, r.symbol) for r in report.rejected]
+        outcomes.append((rejected, int(report), stream.all_verdicts()))
+    assert outcomes[0] == outcomes[1]
+    positions = [index for index, _object_id, _symbol in outcomes[1][0]]
+    assert positions == sorted(positions)
+    assert len(positions) == sum(symbol == "zz" for _object_id, symbol in events)
 
 
 def _counter_nfa(n_states: int):
