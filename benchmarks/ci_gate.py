@@ -54,10 +54,8 @@ EXPECTED_CASES = {
     "test_e22_mcl_text_to_check_batch_end_to_end",
     "test_e23_fused_streaming_beats_per_spec_sweeps",
     "test_e23_fused_batch_checking_beats_per_spec_accepts",
-    "test_e23_shard_payloads_shrink",
     "test_e24_snapshot_restore_beats_refeeding",
     "test_e25_vector_streaming_beats_fused",
-    "test_e25_raw_shard_dispatch_beats_zlib",
     "test_e26_metrics_enabled_streaming_overhead",
     "test_e27_wal_overhead_and_recovery_beat_refeeding",
     "test_e28_enforced_feed_overhead",

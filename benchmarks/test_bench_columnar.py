@@ -7,10 +7,7 @@ realistic monitoring workload (six simultaneous account constraints over
 * encode-once + fused product sweep is at least 3x faster than the PR-2
   per-spec sweeps -- for streaming (``StreamChecker.feed_events`` vs one
   ``CursorTable.advance_events`` pass per spec) *and* for batch checking
-  (``check_batch_all`` vs one ``CompiledSpec.accepts`` pass per spec);
-* process-pool shard payloads (encoded columns + spec references) are at
-  least 5x smaller than the PR-2 tasks (pickled compiled specs + raw
-  frozenset histories).
+  (``check_batch_all`` vs one ``CompiledSpec.accepts`` pass per spec).
 
 Conforming traffic is the honest baseline: on violation-heavy streams the
 old per-spec paths short-circuit doomed objects early, while production
@@ -18,12 +15,11 @@ checking traffic -- where violations are the exception -- pays the full
 per-event cost.
 """
 
-import pickle
 import time
 
 import pytest
 
-from repro.engine import HistoryCheckerEngine, check_columnar_shard, make_shard_task
+from repro.engine import HistoryCheckerEngine
 from repro.engine.cursors import CursorTable
 from repro.workloads import generators
 
@@ -123,39 +119,3 @@ def test_e23_fused_batch_checking_beats_per_spec_accepts(
     )
     assert new_verdicts == old_verdicts
     assert speedup >= 3.0, f"expected >= 3x over per-spec accepts, got {speedup:.2f}x"
-
-
-def test_e23_shard_payloads_shrink(benchmark, run_once, conforming_1m, suite_engine):
-    histories, _events, suite = conforming_1m
-    engine = suite_engine
-    names = tuple(suite)
-    shard_size = 4096
-    shard_histories = histories[:shard_size]
-
-    # PR-2 dispatch: one task per spec per shard, each pickling the whole
-    # CompiledSpec (codes dict of frozensets included) plus raw histories.
-    protocol = pickle.HIGHEST_PROTOCOL
-    old_bytes = sum(
-        len(pickle.dumps((engine.compiled(name), shard_histories), protocol)) for name in names
-    )
-
-    # Columnar dispatch: one task for all specs -- compact blobs, spec
-    # references, and narrow-dtype compressed column bytes.
-    history_set = engine.encode_histories(histories)
-    kernel = engine._kernel_for(names)
-    specs = [(name, engine.compiled(name)) for name in names]
-
-    def build_task():
-        return pickle.dumps(
-            make_shard_task(kernel, specs, history_set.shard_payload(0, shard_size)), protocol
-        )
-
-    new_task = run_once(benchmark, build_task)
-    ratio = old_bytes / len(new_task)
-    print(
-        f"\n[E23] shard payload ({shard_size} histories x {len(names)} specs): "
-        f"PR-2 tasks {old_bytes} bytes, columnar task {len(new_task)} bytes, {ratio:.1f}x smaller"
-    )
-    worker_verdicts = check_columnar_shard(pickle.loads(new_task))
-    assert worker_verdicts == engine.check_batch_all(shard_histories)
-    assert ratio >= 5.0, f"expected >= 5x smaller shard payloads, got {ratio:.1f}x"

@@ -1,37 +1,21 @@
-"""E25: the vectorized kernel -- numpy gathers, raw shard payloads, event floors.
+"""E25: the vectorized kernel -- numpy gathers over encoded columns.
 
-The scale claims of the vector PR, pinned by in-test assertions on the same
-six-constraint monitoring workload as E23 (~10^6 mostly-conforming events
-from 10^5 accounts):
-
-* the numpy gather kernel streams an encoded batch at least 4x faster than
-  the pure-Python fused kernel (it is ~10x on a dev VM: the per-event
-  subscript interpreter collapses into a handful of whole-column gathers
-  replayed from the batch's cached peel plan);
-* a full raw-payload shard dispatch cycle (pack, pickle, unpickle, check)
-  is at least 2x faster than the zlib-packed fused cycle -- the payload is
-  sliced straight off the history set's ndarray buffers and the worker
-  rebuilds it with two ``np.frombuffer`` calls;
-* the events-per-shard floor keeps tiny batches off the pool entirely
-  (printed as a note: shard counts with and without the floor).
+The scale claim of the vector PR, pinned by an in-test assertion on the
+same six-constraint monitoring workload as E23 (~10^6 mostly-conforming
+events from 10^5 accounts): the numpy gather kernel streams an encoded
+batch at least 4x faster than the pure-Python fused kernel (it is ~10x on
+a dev VM: the per-event subscript interpreter collapses into a handful of
+whole-column gathers replayed from the batch's cached peel plan).
 
 Both engines check the identical verdicts; the assertions are conservative
 because dev VMs are noisy -- the printed numbers carry the real ratios.
 """
 
-import pickle
 import time
 
 import pytest
 
-from repro.engine import (
-    MIN_SHARD_EVENTS,
-    HistoryCheckerEngine,
-    check_columnar_shard,
-    make_shard_task,
-    shard_bounds,
-    shard_bounds_by_events,
-)
+from repro.engine import HistoryCheckerEngine
 from repro.workloads import generators
 
 np = pytest.importorskip("numpy")
@@ -92,71 +76,3 @@ def test_e25_vector_streaming_beats_fused(benchmark, run_once, conforming_1m):
     for name in suite:
         assert vector_stream.verdicts(name) == fused_stream.verdicts(name), name
     assert speedup >= 4.0, f"expected >= 4x over the fused kernel, got {speedup:.2f}x"
-
-
-def test_e25_raw_shard_dispatch_beats_zlib(benchmark, run_once, conforming_1m):
-    histories, _events, suite = conforming_1m
-    names = tuple(suite)
-    shard_size = 8192
-    protocol = pickle.HIGHEST_PROTOCOL
-    engines = {kind: _engine(suite, kind) for kind in ("fused", "vector")}
-
-    # Histories are encoded once per engine outside the timers (encode-once
-    # is shared by both dispatch paths and E23 already tracks it).
-    prepared = {
-        kind: (
-            engines[kind].encode_histories(histories),
-            engines[kind]._kernel_for(names),
-            [(name, engines[kind].compiled(name)) for name in names],
-        )
-        for kind in engines
-    }
-
-    def dispatch_cycle(kind):
-        """One pool shard end to end: pack, ship, rebuild, check."""
-        history_set, kernel, specs = prepared[kind]
-        task = pickle.dumps(
-            make_shard_task(kernel, specs, kernel.shard_payload(history_set, 0, shard_size)),
-            protocol,
-        )
-        return check_columnar_shard(pickle.loads(task))
-
-    elapsed = {}
-    verdicts = {}
-    for kind in engines:
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            verdicts[kind] = dispatch_cycle(kind)
-            best = min(best, time.perf_counter() - start)
-        elapsed[kind] = best
-
-    def twenty_dispatch_cycles():
-        # Twenty cycles keep the tracked unit above the CI gate's 50ms
-        # tracking floor (one raw cycle is a few milliseconds).
-        for _ in range(20):
-            result = dispatch_cycle("vector")
-        return result
-
-    run_once(benchmark, twenty_dispatch_cycles)
-    speedup = elapsed["fused"] / elapsed["vector"]
-    print(
-        f"\n[E25] shard dispatch cycle ({shard_size} histories x {len(names)} specs): "
-        f"zlib+fused {elapsed['fused'] * 1000:.0f}ms, raw+vector {elapsed['vector'] * 1000:.0f}ms, "
-        f"speedup {speedup:.1f}x"
-    )
-    assert verdicts["vector"] == verdicts["fused"]
-    assert speedup >= 2.0, f"expected >= 2x over the zlib dispatch cycle, got {speedup:.2f}x"
-
-    # The events-per-shard floor: a tiny batch that the old history-count
-    # sizing would have split across pool workers now stays serial.
-    tiny = engines["vector"].encode_histories(histories[:64])
-    old_shards = len(shard_bounds(64, 16))
-    floored = len(shard_bounds_by_events(tiny.offsets, 16, MIN_SHARD_EVENTS))
-    print(
-        f"[E25] tiny batch (64 histories, {tiny.offsets[-1]} events): "
-        f"{old_shards} shards by history count, {floored} with the "
-        f"{MIN_SHARD_EVENTS}-event floor (pool skipped)"
-    )
-    assert old_shards > 1
-    assert floored == 1

@@ -10,18 +10,15 @@ suite at once.  This example
    shared role-set alphabet -- after which no frozenset is ever hashed
    again,
 3. feeds the pre-encoded batch to a stream session whose fused product
-   kernel advances all six specs in a single pass per event,
-4. re-registers one spec mid-stream (only its histories restart), and
-5. shows what a process-pool shard actually ships: compact column bytes
-   plus spec references, instead of pickled tables and frozensets.
+   kernel advances all six specs in a single pass per event, and
+4. re-registers one spec mid-stream (only its histories restart).
 
 Run with:  python examples/columnar_streaming.py
 """
 
-import pickle
 import time
 
-from repro.engine import HistoryCheckerEngine, make_shard_task
+from repro.engine import HistoryCheckerEngine
 from repro.workloads import banking, generators
 
 
@@ -62,25 +59,6 @@ def main() -> None:
         f"\nafter re-registering no_downgrade: "
         f"{len(stream.verdicts('no_downgrade'))} account(s) tracked for it, "
         f"{len(stream.verdicts('checking_roles'))} still tracked for checking_roles"
-    )
-
-    # ----------------------------------------------------------------- #
-    # 5. What a process-pool shard ships.
-    # ----------------------------------------------------------------- #
-    names = tuple(suite)
-    shard = histories[:1024]
-    history_set = engine.encode_histories(histories)
-    task = make_shard_task(
-        engine._kernel_for(names),
-        [(name, engine.compiled(name)) for name in names],
-        history_set.shard_payload(0, len(shard)),
-    )
-    new_bytes = len(pickle.dumps(task))
-    old_bytes = sum(len(pickle.dumps((engine.compiled(name), shard))) for name in names)
-    print(
-        f"\nshard payload for {len(shard)} histories x {len(names)} specs: "
-        f"{new_bytes} bytes encoded columns + spec refs "
-        f"(PR-2 dispatch shipped {old_bytes} bytes, {old_bytes / new_bytes:.1f}x more)"
     )
 
 

@@ -10,9 +10,9 @@ journal plus periodic checkpoints.  This example
    CRC'd and flushed to a write-ahead log *before* it touches the
    in-memory session, and a checkpoint snapshot is cut every few
    thousand events,
-2. feeds most of a banking event stream and then simulates a power loss:
-   the process abandons the session without closing it and the last
-   journal record is torn mid-write,
+2. feeds most of a banking event stream and then simulates a process
+   crash: the process abandons the session without closing it and the
+   last journal record is torn mid-write,
 3. recovers the directory with ``engine.recover_stream`` -- the newest
    checkpoint is restored, the journal tail is replayed, and the torn
    record is truncated away,
@@ -69,7 +69,7 @@ def main() -> None:
         f"{stats['bytes'] / 1024:.0f}KiB journaled"
     )
 
-    # Power loss: no close(), and the write of the final record is torn.
+    # Process crash: no close(), and the write of the final record is torn.
     # (Every *completed* append was already flushed, so only the record
     # that was mid-write can be damaged -- that is the WAL guarantee.)
     tail = max(glob.glob(os.path.join(directory, "wal-*.log")))

@@ -4,11 +4,11 @@ The engine layers are permanently instrumented (:mod:`repro.obs`), off by
 default, and switchable per process or per engine.  This example
 
 1. switches observability on process-wide (``obs.enable``) and runs a
-   streaming monitor plus a sharded batch check over the banking suite,
+   streaming monitor plus a batch check over the banking suite,
 2. prints the Prometheus text exposition the registry renders -- the exact
    bytes a scrape endpoint would serve -- and the span trees the tracer
-   recorded, including remote ``shard.check`` spans grafted back from
-   process-pool workers,
+   recorded: each ``engine.check_batch_all`` root with its
+   ``encode.histories`` and ``kernel.check`` children,
 3. gives a second engine its *own* registry (``obs=MetricsRegistry(...)``)
    to show per-tenant isolation: its numbers never mix with the default
    registry's, and
@@ -19,7 +19,7 @@ Run with:  python examples/observability.py
 """
 
 from repro import obs
-from repro.engine import HistoryCheckerEngine, ProcessPoolBackend
+from repro.engine import HistoryCheckerEngine
 from repro.workloads import generators
 
 
@@ -39,7 +39,7 @@ def main() -> None:
     # 1. Process-wide switch: engines built after enable() are instrumented.
     # ------------------------------------------------------------------ #
     registry = obs.enable(obs.MetricsRegistry("example"))
-    engine = build_engine(suite, batch_size=256, min_shard_events=0)
+    engine = build_engine(suite)
 
     stream = engine.open_stream()
     step = max(1, len(events) // 8)
@@ -53,8 +53,7 @@ def main() -> None:
     )
     print(f"streamed {stream.events_seen} events; {failing} failing (object, spec) pairs")
 
-    with ProcessPoolBackend(max_workers=2) as pool:
-        engine.check_batch_all(histories[:2_000], executor=pool)
+    engine.check_batch_all(histories[:2_000])
 
     # ------------------------------------------------------------------ #
     # 2. The exposition surfaces: Prometheus text and recorded span trees.
@@ -63,7 +62,7 @@ def main() -> None:
     for line in registry.render_text().splitlines()[:12]:
         print(line)
 
-    print("\n-- span trees (pool.dispatch children are worker-side) " + "-" * 9)
+    print("\n-- span trees (one root per batch check) " + "-" * 24)
     for span in obs.recent_spans():
         print(span.render())
 

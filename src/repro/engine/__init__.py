@@ -3,28 +3,22 @@
 The analyses in :mod:`repro.core` decide properties of *specifications*;
 this subpackage checks *data* against them at volume: millions of object
 histories, delivered as batches or as one interleaved event stream.  The
-pipeline is compile → encode → fuse → shard/stream:
+pipeline is compile → encode → fuse → check/stream:
 
 * :mod:`repro.engine.compiler` -- compile a spec automaton once into a
   minimized DFA with a flat integer transition table, plus a remap array
   from the engine's shared alphabet (:class:`~repro.engine.compiler.
   CompiledSpec`);
 * :mod:`repro.engine.batch` -- the columnar pipeline: encode-once event
-  batches and history sets over the shared alphabet, the fused multi-spec
-  product kernel, and the compact shard payloads;
+  batches and history sets over the shared alphabet and the fused
+  multi-spec product kernel;
 * :mod:`repro.engine.vector` -- the numpy gather kernel over the same
   product groups (flat narrow-dtype transition tables, chunked
-  first-occurrence peeling, raw buffer-protocol shard payloads); selected
-  automatically when numpy is importable (``kernel="auto"``);
+  first-occurrence peeling); selected automatically when numpy is importable (``kernel="auto"``);
 * :mod:`repro.engine.cache` -- bounded LRU over compiled specs and fused
   kernels, safe to evict mid-stream because compilation is deterministic;
 * :mod:`repro.engine.cursors` -- per-object integer cursors advanced event
   by event (the reference path the fused kernel is pinned against);
-* :mod:`repro.engine.executor` -- serial and process-pool shard backends
-  for batch checking;
-* :mod:`repro.engine.supervisor` -- fault supervision over the shard
-  backends: per-shard deadlines, bounded retry with backoff + jitter, pool
-  respawn, poison-shard quarantine, graceful degradation to serial;
 * :mod:`repro.engine.diagnostics` -- violation reports: fatal event,
   minimal counterexample, shortest conforming completion, MCL clause spans;
 * :mod:`repro.engine.snapshot` -- checkpoint/restore of streaming sessions
@@ -32,7 +26,10 @@ pipeline is compile → encode → fuse → shard/stream:
 * :mod:`repro.engine.journal` -- write-ahead event journaling plus
   checkpoints: crash-durable streaming sessions and ``recover_stream``;
 * :mod:`repro.engine.engine` -- :class:`~repro.engine.engine.
-  HistoryCheckerEngine`, the façade tying the pieces together.
+  HistoryCheckerEngine`, the façade tying the pieces together.  A batch
+  check encodes its histories once and makes one in-process kernel call
+  (``check_history_set`` or ``fatal_histories``); there is no executor
+  layer.
 """
 
 from repro.engine.batch import (
@@ -41,8 +38,6 @@ from repro.engine.batch import (
     EncodedBatch,
     FusedKernel,
     ObjectInterner,
-    check_columnar_shard,
-    make_shard_task,
 )
 from repro.engine.cache import SpecCache
 from repro.engine.compiler import CompiledSpec, compile_spec
@@ -61,23 +56,8 @@ from repro.engine.engine import (
     SpecLintFinding,
     StreamChecker,
 )
-from repro.engine.executor import (
-    MIN_SHARD_EVENTS,
-    ProcessPoolBackend,
-    ProcessPoolShardExecutor,
-    SerialExecutor,
-    shard,
-    shard_bounds,
-    shard_bounds_by_events,
-)
 from repro.engine.journal import DurableStream, JournalError, open_durable, recover
 from repro.engine.snapshot import FORMAT_VERSION, SnapshotError, dump_stream, load_stream
-from repro.engine.supervisor import (
-    FaultPolicy,
-    ShardFailure,
-    SupervisedExecutor,
-    zeroed_stats,
-)
 from repro.engine.vector import HAVE_NUMPY, VectorKernel
 
 __all__ = [
@@ -93,22 +73,10 @@ __all__ = [
     "VectorKernel",
     "HAVE_NUMPY",
     "PRODUCT_STATE_CAP",
-    "MIN_SHARD_EVENTS",
-    "make_shard_task",
-    "check_columnar_shard",
-    "SerialExecutor",
-    "ProcessPoolBackend",
-    "ProcessPoolShardExecutor",
-    "SupervisedExecutor",
-    "FaultPolicy",
-    "ShardFailure",
     "DurableStream",
     "JournalError",
     "open_durable",
     "recover",
-    "shard",
-    "shard_bounds",
-    "shard_bounds_by_events",
     "HistoryCheckerEngine",
     "StreamChecker",
     "SpecLintFinding",
@@ -119,7 +87,6 @@ __all__ = [
     "EnforcementError",
     "EnforcementReport",
     "RejectedEvent",
-    "zeroed_stats",
     "FORMAT_VERSION",
     "SnapshotError",
     "dump_stream",

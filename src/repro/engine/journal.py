@@ -48,12 +48,22 @@ batch codes are re-interned through it).  Because a recovered engine's
 code space may therefore differ from the journal's, recovery always ends
 by checkpointing and rotating -- one segment, one code space.
 
-Durability levels: appends are flushed to the OS on every batch (a process
-crash -- the failure mode the chaos suite injects -- loses nothing);
-``fsync=True`` additionally syncs the file per batch, extending the
-guarantee to power loss at a measurable throughput cost.  Checkpoints are
-always written tmp + fsync + ``os.replace``, so a crash mid-checkpoint
-leaves the previous generation intact.
+Durability contract, by failure model:
+
+* **Process crash** (the model the chaos suites inject, SIGKILL included)
+  is covered: appends are flushed to the OS on every batch, so a crash
+  loses nothing the session has answered, and checkpoints are written
+  tmp + fsync + ``os.replace``, so a crash mid-checkpoint leaves the
+  previous generation intact.
+* **Power loss** (or a kernel crash) is *not* covered, with or without
+  ``fsync=True``.  ``fsync=True`` syncs each segment's file data per batch
+  at a measurable throughput cost, but the directory itself is never
+  fsynced: after the ``os.replace`` that publishes a checkpoint, the
+  creation of a new ``wal-<seq>.log`` segment, or the unlinks of
+  ``_prune``, the directory entries may not be on disk, so a power cut can
+  lose a whole segment or checkpoint.  Directory fsyncs are an open
+  roadmap item; until they land, treat ``fsync=True`` as narrowing the
+  window, not closing it.
 """
 
 from __future__ import annotations

@@ -37,10 +37,8 @@ column, so the loop runs ``max_length`` rounds of pure array ops.
 
 Everything interoperates with the fused kernel: state columns convert
 through dense indices (``index_columns`` / ``_columns_from_indices``),
-snapshots use the same packed wire format (so a vector snapshot restores on
-a no-numpy host and vice versa), and shard payloads ship raw
-buffer-protocol ndarray bytes tagged ``("nd", dtype-string, buffer)`` --
-no zlib round trip, rebuilt worker-side with one ``np.frombuffer`` each.
+and snapshots use the same packed wire format (so a vector snapshot
+restores on a no-numpy host and vice versa).
 
 The module imports without numpy (:data:`HAVE_NUMPY` is the gate the engine
 reads for ``kernel="auto"``); only constructing a :class:`VectorKernel`
@@ -106,47 +104,6 @@ def _history_code_array(history_set: ColumnarHistorySet):
 def _offset_array(history_set: ColumnarHistorySet):
     """The offsets column as an int64 ndarray view (offsets never mutate)."""
     return np.frombuffer(history_set.offsets, dtype=np.int64)
-
-
-# --------------------------------------------------------------------------- #
-# Raw (buffer-protocol) shard payloads
-# --------------------------------------------------------------------------- #
-def _pack_raw(values) -> Tuple[str, str, bytes]:
-    """``("nd", dtype string, buffer bytes)`` -- narrowed, never compressed.
-
-    The dtype string (``numpy.dtype.str``, endianness included) is the whole
-    wire header; the worker rebuilds the column with one ``np.frombuffer``.
-    """
-    arr = np.ascontiguousarray(values)
-    high = int(arr.max()) if arr.size else 0
-    dtype = np.uint8 if high <= 0xFF else (np.uint16 if high <= 0xFFFF else np.int64)
-    arr = arr.astype(dtype, copy=False)
-    return ("nd", arr.dtype.str, arr.tobytes())
-
-
-def _unpack_raw(packed: Tuple[str, str, bytes]):
-    _tag, dtype, data = packed
-    return np.frombuffer(data, dtype=np.dtype(dtype))
-
-
-def shard_payload_raw(history_set: ColumnarHistorySet, start: int, stop: int) -> Tuple:
-    """Histories ``[start, stop)`` as raw buffer-protocol column bytes.
-
-    Same triple shape as :meth:`ColumnarHistorySet.shard_payload` -- ``(count,
-    packed lengths, packed codes)`` -- but the packed columns are ``("nd",
-    ...)`` tagged raw buffers, sliced straight off the set's ndarray views
-    with no tolist/zlib round trip.
-    """
-    offsets = _offset_array(history_set)
-    codes = _history_code_array(history_set)
-    lo, hi = int(offsets[start]), int(offsets[stop])
-    return (stop - start, _pack_raw(np.diff(offsets[start : stop + 1])), _pack_raw(codes[lo:hi]))
-
-
-def unpack_shard_arrays(payload: Tuple):
-    """``(lengths, flat codes)`` ndarrays from :func:`shard_payload_raw` output."""
-    _count, lengths_packed, codes_packed = payload
-    return _unpack_raw(lengths_packed), _unpack_raw(codes_packed)
 
 
 def pack_index_array(values) -> Tuple[str, int, bytes]:
@@ -278,7 +235,6 @@ class VectorKernel(FusedKernel):
         specs: Sequence[Tuple[str, CompiledSpec]],
         width: int,
         cap: Optional[int] = None,
-        key: Tuple = (),
     ) -> None:
         if not HAVE_NUMPY:  # pragma: no cover - exercised on the no-numpy CI leg
             raise RuntimeError(
@@ -289,7 +245,7 @@ class VectorKernel(FusedKernel):
             from repro.engine.batch import PRODUCT_STATE_CAP
 
             cap = PRODUCT_STATE_CAP
-        super().__init__(specs, width, cap, key=key)
+        super().__init__(specs, width, cap)
         self._tables = [_GroupTable() for _group in self.groups]
 
     def _table(self, group_index: int) -> _GroupTable:
@@ -636,9 +592,6 @@ class VectorKernel(FusedKernel):
             _history_code_array(history_set), np.diff(_offset_array(history_set))
         )
 
-    def shard_payload(self, history_set: ColumnarHistorySet, start: int, stop: int) -> Tuple:
-        return shard_payload_raw(history_set, start, stop)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = "+".join(str(len(group)) for group in self.groups)
         return f"VectorKernel({len(self.names)} specs, states {sizes})"
@@ -747,6 +700,4 @@ __all__ = [
     "PEEL_DEPTH_LIMIT",
     "VectorKernel",
     "pack_index_array",
-    "shard_payload_raw",
-    "unpack_shard_arrays",
 ]

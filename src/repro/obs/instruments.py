@@ -18,11 +18,6 @@ from typing import Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
-#: Pool round trips are milliseconds to seconds; feeds are sub-millisecond
-#: to seconds.  One shared bucket ladder keeps exposition compact.
-_LATENCY_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
-
-
 class EngineInstruments:
     """Every instrument the engine layers touch, resolved once.
 
@@ -42,13 +37,6 @@ class EngineInstruments:
         "violations_total",
         "enforce_rejections",
         "streams_opened",
-        # executor.py / shard dispatch
-        "shards_total",
-        "shard_payload_bytes",
-        "pool_dispatch_seconds",
-        "worker_cache_hits",
-        "worker_cache_misses",
-        "worker_cache_size",
         # cache.py
         "spec_cache_hits",
         "spec_cache_misses",
@@ -57,8 +45,6 @@ class EngineInstruments:
         "snapshot_dump_bytes",
         "snapshot_restore_bytes",
         "snapshot_state_translations",
-        # supervisor.py
-        "supervisor_events",
         # journal.py
         "journal_append_records",
         "journal_append_bytes",
@@ -99,29 +85,6 @@ class EngineInstruments:
         self.streams_opened = counter(
             "repro_engine_streams_opened_total", "Streaming sessions opened or restored"
         )
-        self.shards_total = counter(
-            "repro_engine_shards_total", "Columnar shards dispatched to an executor"
-        )
-        self.shard_payload_bytes = counter(
-            "repro_engine_shard_payload_bytes_total", "Bytes of packed shard column payloads"
-        )
-        self.pool_dispatch_seconds = registry.histogram(
-            "repro_engine_pool_dispatch_seconds",
-            "Executor round-trip latency per sharded check_batch_all",
-            buckets=_LATENCY_BUCKETS,
-        )
-        self.worker_cache_hits = counter(
-            "repro_engine_worker_kernel_cache_hits_total",
-            "Worker-local kernel cache hits (merged back from pool shards)",
-        )
-        self.worker_cache_misses = counter(
-            "repro_engine_worker_kernel_cache_misses_total",
-            "Worker-local kernel cache misses (kernel rebuilt worker-side)",
-        )
-        self.worker_cache_size = registry.gauge(
-            "repro_engine_worker_kernel_cache_size",
-            "Entries in the most recently reporting worker's kernel cache",
-        )
         self.spec_cache_hits = counter(
             "repro_engine_cache_hits_total", "Compiled-artifact cache hits", cache="spec"
         )
@@ -141,23 +104,6 @@ class EngineInstruments:
             "repro_engine_snapshot_state_translations_total",
             "Occupied product states re-materialized during snapshot restore",
         )
-        # Supervision events keyed by the SupervisedExecutor's internal
-        # counter names; one labelled series per degradation-ladder rung.
-        self.supervisor_events = {
-            name: counter(
-                "repro_supervisor_events_total",
-                "Fault-supervision events by kind (repro.engine.supervisor)",
-                event=event,
-            )
-            for name, event in (
-                ("retries", "retry"),
-                ("timeouts", "timeout"),
-                ("respawns", "respawn"),
-                ("quarantined", "quarantine"),
-                ("degraded", "degrade"),
-                ("shard_failures", "shard_failure"),
-            )
-        }
         self.journal_append_records = counter(
             "repro_journal_records_total", "Journal records processed", direction="append"
         )

@@ -5,9 +5,7 @@ tree a ``check_batch_all`` call leaves behind reads::
 
     engine.check_batch_all            41.8ms
       encode.histories                 9.1ms
-      pool.dispatch                   30.2ms
-        shard.check (worker)           6.9ms
-        shard.check (worker)           7.2ms
+      kernel.check                    32.4ms  kind=vector
 
 Spans are created by the :func:`trace` context manager.  When tracing is
 disabled (the default) ``trace`` returns one shared no-op context manager:
@@ -17,15 +15,8 @@ is what lets the engine leave its ``trace`` calls permanently in place.
 Each thread keeps its own current-span stack (``threading.local``), so
 concurrent streams build disjoint trees.  Finished *root* spans land in a
 bounded ring (:func:`recent_spans`), newest last -- the introspection
-surface the CLI and ``engine.stats`` read.
-
-Cross-process propagation: spans cannot close over a process boundary, so
-pool shard tasks carry the dispatching span's integer id
-(:func:`repro.engine.batch.make_shard_task`), the worker records its own
-span tree, ships it back as a plain dict (:meth:`Span.to_dict`), and the
-parent grafts it under the dispatching span (:func:`attach_remote`).
-Worker clocks are not comparable to the parent's, so remote spans carry
-*durations*, not absolute times.
+surface the CLI and ``engine.stats`` read.  :meth:`Span.to_dict` exports
+a finished tree as plain builtins (durations, not clock times).
 """
 
 from __future__ import annotations
@@ -36,8 +27,7 @@ from itertools import count
 from time import perf_counter
 from typing import Dict, List, Optional
 
-#: Process-unique span ids; shipped in shard payloads so worker-side trees
-#: re-attach to the right parent.
+#: Process-unique span ids (``0`` is reserved for the disabled no-op span).
 _SPAN_IDS = count(1)
 
 #: Finished root spans kept for introspection.
@@ -47,7 +37,7 @@ RECENT_SPAN_LIMIT = 32
 class Span:
     """One timed region: name, duration, children, optional metadata."""
 
-    __slots__ = ("name", "span_id", "start", "duration", "children", "meta", "remote")
+    __slots__ = ("name", "span_id", "start", "duration", "children", "meta")
 
     def __init__(self, name: str, meta: Optional[Dict] = None) -> None:
         self.name = name
@@ -56,12 +46,7 @@ class Span:
         self.duration: float = 0.0
         self.children: List["Span"] = []
         self.meta = meta
-        #: True for spans recorded in another process and grafted here.
-        self.remote = False
 
-    # ------------------------------------------------------------------ #
-    # Wire form (process-pool propagation)
-    # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict:
         """A picklable tree of plain builtins (durations, not clock times)."""
         payload: Dict = {"name": self.name, "duration": self.duration}
@@ -71,23 +56,13 @@ class Span:
             payload["children"] = [child.to_dict() for child in self.children]
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "Span":
-        """Rebuild a span tree shipped by :meth:`to_dict` (marked remote)."""
-        span = cls(payload["name"], payload.get("meta"))
-        span.duration = float(payload["duration"])
-        span.remote = True
-        span.children = [cls.from_dict(child) for child in payload.get("children", ())]
-        return span
-
     def render(self, indent: int = 0) -> str:
         """The span tree as an indented text report (durations in ms)."""
-        marker = " (remote)" if self.remote else ""
         meta = ""
         if self.meta:
             meta = " " + " ".join(f"{k}={v}" for k, v in sorted(self.meta.items()))
         lines = [f"{'  ' * indent}{self.name:<{max(1, 40 - 2 * indent)}}"
-                 f"{self.duration * 1000:9.2f}ms{marker}{meta}"]
+                 f"{self.duration * 1000:9.2f}ms{meta}"]
         for child in self.children:
             lines.append(child.render(indent + 1))
         return "\n".join(lines)
@@ -106,7 +81,6 @@ class _NoopSpan:
     duration = 0.0
     children: List = []
     meta = None
-    remote = False
 
     def to_dict(self) -> Dict:
         return {"name": "", "duration": 0.0}
@@ -215,16 +189,6 @@ class Tracer:
         """Drop the finished-root ring (open stacks are untouched)."""
         with self._lock:
             self._finished.clear()
-
-    def attach_remote(self, parent: Optional[Span], payload: Dict) -> Span:
-        """Graft a worker-recorded span tree under ``parent`` (or the ring)."""
-        span = Span.from_dict(payload)
-        if parent is not None and parent.span_id:
-            parent.children.append(span)
-        else:
-            with self._lock:
-                self._finished.append(span)
-        return span
 
 
 #: The process tracer; :mod:`repro.obs` re-exports its bound methods.

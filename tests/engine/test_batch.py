@@ -1,12 +1,10 @@
-"""Unit tests for the columnar pipeline: interner, batches, payloads, kernel.
+"""Unit tests for the columnar pipeline: interner, batches, history sets, kernel.
 
 Also pins the two satellite fixes of the columnar PR: ``feed_events`` counts
 events (and bumps ``events_seen``) with zero registered specs, and
 ``HistoryCursor.advance_many`` runs the hoisted sweep instead of re-entering
 ``advance`` per event.
 """
-
-import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -179,15 +177,6 @@ class TestEncodedBatch:
         assert batch.ids.typecode == batch.codes.typecode == "q"
         assert batch.max_id == 1
 
-    def test_payload_round_trip_preserves_columns(self):
-        alphabet = RoleSetAlphabet()
-        _histories, events = generators.banking_event_stream(seed=3, objects=50, mean_length=6)
-        batch = EncodedBatch.from_events(events, alphabet)
-        for compress in (True, False):
-            restored = EncodedBatch.from_payload(batch.to_payload(compress=compress))
-            assert restored.id_list == batch.id_list
-            assert restored.code_list == batch.code_list
-
     def test_alphabet_is_append_only_across_batches(self):
         alphabet = RoleSetAlphabet()
         first = EncodedBatch.from_events([(0, banking.ROLE_INTEREST)], alphabet)
@@ -218,7 +207,7 @@ def _layout_run(kind, layout, policy, directory):
     engine = new_engine()
     durable = engine.open_durable_stream(directory, checkpoint_every=None, record=True)
     interner = durable.stream.object_interner
-    payloads, rejected = [], []
+    columns, rejected = [], []
     for start in range(0, len(events), 40):
         encoded = engine.encode_events(events[start : start + 40], interner)
         if layout == "array":
@@ -235,8 +224,8 @@ def _layout_run(kind, layout, policy, directory):
             )
             assert batch._np_ids is None and batch._np_codes is None
         else:
-            batch = EncodedBatch.from_payload(encoded.to_payload(), interner)
-        payloads.append(batch.to_payload())
+            batch = encoded
+        columns.append((batch.id_list, batch.code_list))
         if policy == "reject_event":
             report = durable.feed_events(batch, enforce=True)
             rejected.extend(
@@ -253,7 +242,7 @@ def _layout_run(kind, layout, policy, directory):
         "events_seen": durable.events_seen,
         "traces": {obj: stream.history(obj) for obj in stream.objects()},
         "rejected": rejected,
-        "payloads": payloads,
+        "columns": columns,
     }
     durable.close()
     recovered = new_engine().recover_stream(directory)
@@ -270,10 +259,10 @@ def _layout_run(kind, layout, policy, directory):
 def test_ndarray_and_list_batches_are_interchangeable(kind, policy, tmp_path):
     runs = {
         layout: _layout_run(kind, layout, policy, tmp_path / layout)
-        for layout in ("array", "list", "payload")
+        for layout in ("array", "list", "encoded")
     }
     assert runs["array"]["rejected"]  # the alien events were screened out
-    assert runs["array"] == runs["list"] == runs["payload"]
+    assert runs["array"] == runs["list"] == runs["encoded"]
 
 
 class TestColumnarHistorySet:
@@ -287,23 +276,6 @@ class TestColumnarHistorySet:
         assert [alphabet.symbol(code) for code in history_set.code_list[start:stop]] == list(
             histories[3]
         )
-
-    def test_shard_payload_round_trip(self):
-        alphabet = RoleSetAlphabet()
-        histories, _events = generators.banking_event_stream(seed=7, objects=64, mean_length=5)
-        history_set = ColumnarHistorySet.from_histories(histories, alphabet)
-        lengths, codes = ColumnarHistorySet.unpack_payload(history_set.shard_payload(10, 30))
-        assert lengths == history_set.lengths(10, 30)
-        offsets = history_set.offsets
-        assert codes == history_set.code_list[offsets[10] : offsets[30]]
-
-    def test_payload_is_picklable_and_compact(self):
-        alphabet = RoleSetAlphabet()
-        histories, _events = generators.banking_event_stream(seed=9, objects=512, mean_length=10)
-        history_set = ColumnarHistorySet.from_histories(histories, alphabet)
-        payload = history_set.shard_payload(0, len(history_set))
-        events = len(history_set.code_list)
-        assert len(pickle.dumps(payload)) < events  # < 1 byte per event on the wire
 
 
 class TestFusedEngineSurface:
@@ -325,25 +297,16 @@ class TestFusedEngineSurface:
             engine.check_batch_all([], names=["nope"])
 
     def test_two_engines_with_same_spec_names_never_share_kernels(self):
-        # Worker-side kernels are cached by the task key; two engines using
-        # the same spec *name* for different languages must not collide.
-        from repro.engine import check_columnar_shard, make_shard_task
-
+        # Kernels are cached per engine by (name, generation); two engines
+        # using the same spec *name* for different languages must not collide.
         first = HistoryCheckerEngine()
         first.add_spec("spec", banking.checking_role_inventory())
         second = HistoryCheckerEngine()
         second.add_spec("spec", banking.no_downgrade_inventory())
         histories = [(banking.ROLE_INTEREST, banking.ROLE_REGULAR)] * 4  # IC then RC
 
-        results = []
-        for engine in (first, second):
-            history_set = engine.encode_histories(histories)
-            task = make_shard_task(
-                engine._kernel_for(("spec",)),
-                [("spec", engine.compiled("spec"))],
-                history_set.shard_payload(0, len(history_set)),
-            )
-            results.append(check_columnar_shard(task)["spec"])
+        results = [engine.check_batch_all(histories)["spec"] for engine in (first, second)]
+        assert first._kernel_for(("spec",)) is not second._kernel_for(("spec",))
         assert results[0] == [True] * 4  # checking allows IC RC
         assert results[1] == [False] * 4  # no_downgrade forbids RC after IC
 

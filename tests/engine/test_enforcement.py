@@ -12,15 +12,13 @@ The contract under test, layer by layer:
 * the durable stream journals **admitted events only** -- recovery replays
   to the enforced session's exact state, and a refused batch leaves the
   WAL byte-identical;
-* ``screen_histories`` (the batch analogue) matches the replay oracle and
-  merges deterministically across a process pool;
+* ``screen_histories`` (the batch analogue) matches the replay oracle;
 * spec re-registration re-validates only objects whose state actually
   moved (``RevalidationReport``), and ``lint_specs`` flags unsatisfiable /
   equivalent / redundant / contradictory constraint sets at registration;
 * the satellite contracts: ``trace_limit`` stops recorded traces from
-  growing once an object hits the doomed sink, ``engine.stats()`` always
-  carries a ``fault_tolerance`` section of a fixed shape, and restoring a
-  snapshot across a re-registration is decided by table *fingerprint*, not
+  growing once an object hits the doomed sink, and restoring a snapshot
+  across a re-registration is decided by table *fingerprint*, not
   generation.
 """
 
@@ -37,10 +35,6 @@ from repro.engine import (
     EnforcementError,
     EnforcementReport,
     HistoryCheckerEngine,
-    ProcessPoolBackend,
-    SerialExecutor,
-    SupervisedExecutor,
-    zeroed_stats,
 )
 from repro.engine.diagnostics import replay
 from repro.workloads import banking, generators
@@ -278,14 +272,6 @@ def test_screen_histories_matches_replay_oracle(kind):
         assert screened[name] == expected, (kind, name)
 
 
-def test_screen_histories_sharded_merge_is_deterministic():
-    engine, histories, _, names = _suite_engine(batch_size=3, min_shard_events=1)
-    serial = engine.screen_histories(histories)
-    with ProcessPoolBackend(max_workers=2) as pool:
-        for _ in range(2):  # repeated runs: shard order, not arrival order
-            assert engine.screen_histories(histories, executor=pool) == serial
-
-
 # --------------------------------------------------------------------------- #
 # The WAL journals admitted events only
 # --------------------------------------------------------------------------- #
@@ -374,38 +360,6 @@ def test_unlimited_traces_remain_the_default():
     stream.feed_events(events)
     for index, history in enumerate(histories):
         assert stream.history(index) == tuple(history), index
-
-
-# --------------------------------------------------------------------------- #
-# stats() shape contract
-# --------------------------------------------------------------------------- #
-FAULT_TOLERANCE_KEYS = {
-    "retries",
-    "timeouts",
-    "respawns",
-    "quarantined",
-    "degraded",
-    "shard_failures",
-    "degraded_now",
-    "policy",
-}
-
-
-def test_stats_always_carries_a_fault_tolerance_section():
-    plain = HistoryCheckerEngine().stats()
-    assert plain["fault_tolerance"] == zeroed_stats()
-    assert set(plain["fault_tolerance"]) == FAULT_TOLERANCE_KEYS
-    assert not plain["fault_tolerance"]["degraded_now"]
-    with SupervisedExecutor(SerialExecutor()) as supervised:
-        section = HistoryCheckerEngine(executor=supervised).stats()["fault_tolerance"]
-        assert set(section) == FAULT_TOLERANCE_KEYS
-
-
-def test_zeroed_stats_returns_fresh_dicts():
-    first, second = zeroed_stats(), zeroed_stats()
-    assert first == second and first is not second
-    first["retries"] = 99
-    assert zeroed_stats()["retries"] == 0
 
 
 # --------------------------------------------------------------------------- #

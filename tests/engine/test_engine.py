@@ -15,11 +15,8 @@ from repro.engine import (
     CursorTable,
     HistoryCheckerEngine,
     HistoryCursor,
-    ProcessPoolBackend,
-    SerialExecutor,
     SpecCache,
     compile_spec,
-    shard,
 )
 from repro.workloads import banking, generators, university
 
@@ -139,31 +136,24 @@ class TestSpecCache:
 
 class TestEngineBatch:
     def test_batch_verdicts_equal_one_shot_accepts(self, checking):
-        engine = HistoryCheckerEngine(batch_size=16)
+        engine = HistoryCheckerEngine()
         engine.add_spec("checking", checking)
         histories = random_banking_words(seed=17, count=200)
         verdicts = engine.check_batch("checking", histories)
         assert verdicts == [checking.automaton.accepts(word) for word in histories]
-
-    def test_serial_and_process_pool_backends_agree(self, checking):
-        engine = HistoryCheckerEngine(batch_size=64)
-        engine.add_spec("checking", checking)
-        histories = random_banking_words(seed=19, count=300)
-        serial = engine.check_batch("checking", histories, executor=SerialExecutor())
-        with ProcessPoolBackend(max_workers=2) as pool:
-            parallel = engine.check_batch("checking", histories, executor=pool)
-        assert serial == parallel
 
     def test_unknown_spec_raises(self):
         engine = HistoryCheckerEngine()
         with pytest.raises(KeyError):
             engine.check_batch("nope", [])
 
-    def test_shard_helper_covers_input_exactly(self):
-        items = list(range(10))
-        pieces = shard(items, 3)
-        assert [len(piece) for piece in pieces] == [3, 3, 3, 1]
-        assert [x for piece in pieces for x in piece] == items
+    def test_check_batch_all_rejects_an_executor(self, checking):
+        engine = HistoryCheckerEngine()
+        engine.add_spec("checking", checking)
+        histories = random_banking_words(seed=19, count=10)
+        assert engine.check_batch_all(histories, None, None) == engine.check_batch_all(histories)
+        with pytest.raises(TypeError, match="executor"):
+            engine.check_batch_all(histories, None, object())
 
 
 class TestEngineStreaming:

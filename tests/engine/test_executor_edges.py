@@ -1,24 +1,16 @@
-"""Executor edge cases: the shard dispatch must degrade gracefully.
+"""Batch-path edge cases: the in-process batch check must degrade gracefully.
 
-The sharding math and the worker-side caches all have boundary conditions
--- empty batches, single objects, more shards than histories, zero
-registered specs, stale worker kernels after re-registration -- that the
-happy-path benchmarks never hit.  One module-scoped process pool keeps the
-whole file at one pool spin-up.
+Empty batches, single histories, zero registered specs, re-registration
+under a live name and input order are boundary conditions the happy-path
+benchmarks never hit.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import HistoryCheckerEngine, ProcessPoolBackend, shard, shard_bounds
+from repro.engine import HistoryCheckerEngine
 from repro.workloads import banking, generators
-
-
-@pytest.fixture(scope="module")
-def pool():
-    with ProcessPoolBackend(max_workers=2) as backend:
-        yield backend
 
 
 @pytest.fixture(scope="module")
@@ -26,41 +18,30 @@ def histories():
     return list(generators.banking_event_stream(71, 20, noise=0.3)[0])
 
 
-def _engine(pool, batch_size=3):
-    engine = HistoryCheckerEngine(executor=pool, batch_size=batch_size)
+def _engine():
+    engine = HistoryCheckerEngine()
     engine.add_spec("checking_roles", banking.checking_role_inventory())
     engine.add_spec("no_downgrade", banking.no_downgrade_inventory())
     return engine
 
 
-def test_empty_batch(pool):
-    engine = _engine(pool)
+def test_empty_batch():
+    engine = _engine()
     assert engine.check_batch("checking_roles", []) == []
     assert engine.check_batch_all([]) == {"checking_roles": [], "no_downgrade": []}
     verdicts, violations = engine.check_batch("checking_roles", [], explain=True)
     assert verdicts == [] and violations == []
 
 
-def test_single_history(pool, histories):
-    engine = _engine(pool, batch_size=1)
-    serial = HistoryCheckerEngine()
-    serial.add_spec("checking_roles", banking.checking_role_inventory())
+def test_single_history(histories):
+    engine = _engine()
+    oracle = engine.compiled("checking_roles")
     one = histories[:1]
-    assert engine.check_batch("checking_roles", one) == serial.check_batch("checking_roles", one)
+    assert engine.check_batch("checking_roles", one) == [oracle.accepts(one[0])]
 
 
-def test_more_shards_than_workers_and_than_objects(pool, histories):
-    # batch_size=1 over 20 histories: 20 shards across 2 workers.
-    engine = _engine(pool, batch_size=1)
-    expected = {
-        name: [engine.compiled(name).accepts(history) for history in histories]
-        for name in engine.spec_names()
-    }
-    assert engine.check_batch_all(histories) == expected
-
-
-def test_zero_registered_specs(pool):
-    engine = HistoryCheckerEngine(executor=pool)
+def test_zero_registered_specs():
+    engine = HistoryCheckerEngine()
     assert engine.check_batch_all([["whatever"]]) == {}
     assert engine.spec_names() == ()
     stream = engine.open_stream()
@@ -70,30 +51,21 @@ def test_zero_registered_specs(pool):
         engine.check_batch("missing", [])
 
 
-def test_worker_cache_invalidated_after_reregistration(pool, histories):
-    engine = _engine(pool, batch_size=2)
+def test_worker_cache_invalidated_after_reregistration(histories):
+    engine = _engine()
     before = engine.check_batch("checking_roles", histories)
     oracle = engine.compiled("no_downgrade")
     # Re-register under the same name with a different language: the kernel
-    # key carries (name, generation), so pool workers must recompile.
+    # key carries (name, generation), so the cached kernel must not be reused.
     engine.add_spec("checking_roles", banking.no_downgrade_inventory())
     after = engine.check_batch("checking_roles", histories)
     assert after == [oracle.accepts(history) for history in histories]
     assert after != before  # the two banking constraints disagree on this stream
 
 
-def test_pool_results_preserve_input_order(pool, histories):
-    engine = _engine(pool, batch_size=2)
+def test_pool_results_preserve_input_order(histories):
+    engine = _engine()
     reversed_histories = list(reversed(histories))
     forward = engine.check_batch("checking_roles", histories)
     backward = engine.check_batch("checking_roles", reversed_histories)
     assert backward == list(reversed(forward))
-
-
-def test_shard_helpers_reject_nonpositive_batch():
-    with pytest.raises(ValueError):
-        shard([1, 2, 3], 0)
-    with pytest.raises(ValueError):
-        shard_bounds(3, 0)
-    assert shard_bounds(0, 4) == []
-    assert shard_bounds(5, 2) == [(0, 2), (2, 4), (4, 5)]

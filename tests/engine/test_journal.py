@@ -16,7 +16,14 @@ from repro.core.rolesets import enumerate_role_sets
 from repro.engine import HistoryCheckerEngine, JournalError
 from repro.engine.batch import EncodedBatch
 from repro.obs.metrics import MetricsRegistry
-from repro.testing.faults import corrupt_file, tear_file
+from repro.testing.faults import (
+    FaultError,
+    FaultInjector,
+    FaultSpec,
+    corrupt_file,
+    inject,
+    tear_file,
+)
 from repro.workloads import generators
 
 
@@ -260,6 +267,54 @@ def test_corruption_before_the_tail_segment_raises(tmp_path):
     corrupt_file(tmp_path / "wal-0000000001.log", seed=3)
     with pytest.raises(JournalError, match="before the journal tail"):
         _engine(specs).recover_stream(tmp_path, retain=3)
+
+
+# --------------------------------------------------------------------------- #
+# Faults injected at the journal's own write sites
+# --------------------------------------------------------------------------- #
+def test_failed_append_keeps_the_durable_prefix(tmp_path):
+    specs, events = _case(15, objects=10)
+    durable = _engine(specs).open_durable_stream(tmp_path, checkpoint_every=None)
+    injector = FaultInjector([FaultSpec("journal.append", "raise", after=2)])
+    with inject(injector):
+        _feed_batches(durable, events[:8], size=4)
+        with pytest.raises(FaultError):
+            durable.feed_events(events[8:12])
+    assert injector.fired == {"journal.append": 1}
+    assert durable.events_seen == 8  # the refused batch never reached the session
+    durable.close()
+    recovered = _engine(specs).recover_stream(tmp_path)
+    assert recovered.events_seen == 8
+    assert recovered.truncated_records == 0
+    assert recovered.all_verdicts() == _oracle(specs, events, prefix=8)
+
+
+@pytest.mark.parametrize("action", ["flip", "truncate"])
+def test_damaged_in_flight_record_truncates_the_tail(tmp_path, action):
+    specs, events = _case(16, objects=10)
+    durable = _engine(specs).open_durable_stream(tmp_path, checkpoint_every=None)
+    with inject(FaultInjector([FaultSpec("journal.append", action, after=2)], seed=4)):
+        _feed_batches(durable, events, size=4)
+    durable.close()
+    recovered = _engine(specs).recover_stream(tmp_path)
+    # The third record is damaged on disk; everything from it on is dropped.
+    assert recovered.events_seen == 8
+    assert recovered.truncated_records >= 1
+    assert recovered.all_verdicts() == _oracle(specs, events, prefix=8)
+
+
+def test_torn_checkpoint_write_falls_back_a_generation(tmp_path):
+    specs, events = _case(17, objects=10)
+    half = len(events) // 2
+    durable = _engine(specs).open_durable_stream(tmp_path, checkpoint_every=None)
+    _feed_batches(durable, events[:half])
+    with inject(FaultInjector([FaultSpec("journal.checkpoint", "truncate")], seed=2)):
+        durable.checkpoint()
+    _feed_batches(durable, events[half:])
+    durable.close()
+    recovered = _engine(specs).recover_stream(tmp_path)
+    assert recovered.events_seen == len(events)
+    assert recovered.all_verdicts() == _oracle(specs, events)
 
 
 # --------------------------------------------------------------------------- #

@@ -1,4 +1,4 @@
-"""Span tracing: tree shape, the no-op disabled path, remote grafting."""
+"""Span tracing: tree shape, the no-op disabled path, plain-dict export."""
 
 from __future__ import annotations
 
@@ -83,28 +83,16 @@ class TestSpanTrees:
             assert [child.name for child in root.children] == [root.name.replace("root", "inner")]
 
 
-class TestRemotePropagation:
-    def test_round_trip_marks_remote(self):
-        span = Span("shard.check", {"histories": 7})
+class TestExport:
+    def test_to_dict_exports_plain_builtins(self):
+        span = Span("engine.check_batch_all", {"specs": 2})
         span.duration = 0.25
-        child = Span("gather")
+        child = Span("kernel.check")
         child.duration = 0.1
         span.children.append(child)
-        rebuilt = Span.from_dict(span.to_dict())
-        assert rebuilt.remote and rebuilt.children[0].remote
-        assert rebuilt.name == "shard.check"
-        assert rebuilt.duration == pytest.approx(0.25)
-        assert rebuilt.meta == {"histories": 7}
-        assert "(remote)" in rebuilt.render()
-
-    def test_attach_remote_grafts_under_parent(self, tracer):
-        with tracer.trace("dispatch") as dispatch:
-            tracer.attach_remote(dispatch, {"name": "shard.check", "duration": 0.01})
-        (root,) = tracer.recent()
-        assert [child.name for child in root.children] == ["shard.check"]
-        assert root.children[0].remote
-
-    def test_attach_remote_without_parent_lands_in_the_ring(self, tracer):
-        tracer.attach_remote(None, {"name": "orphan", "duration": 0.01})
-        tracer.attach_remote(NOOP_SPAN, {"name": "orphan2", "duration": 0.01})
-        assert [span.name for span in tracer.recent()] == ["orphan", "orphan2"]
+        assert span.to_dict() == {
+            "name": "engine.check_batch_all",
+            "duration": 0.25,
+            "meta": {"specs": 2},
+            "children": [{"name": "kernel.check", "duration": 0.1}],
+        }

@@ -6,11 +6,10 @@ for every object and every spec, the fused product kernel's verdict
 *and* pre-encoded batches) equals the per-spec
 :class:`repro.engine.cursors.CursorTable` sweep and a one-shot
 ``DFA.accepts`` run -- including across a mid-stream spec re-registration,
-under LRU cache eviction pressure, with the product cap forcing the kernel
-into multiple groups, and after a worker-style payload round trip.
+under LRU cache eviction pressure, and with the product cap forcing the
+kernel into multiple groups.
 """
 
-import pickle
 import random
 
 import pytest
@@ -18,9 +17,7 @@ import pytest
 from repro.engine import (
     CursorTable,
     HistoryCheckerEngine,
-    check_columnar_shard,
     compile_spec,
-    make_shard_task,
 )
 from repro.workloads import banking, generators, immigration, phd, three_class, university
 
@@ -220,20 +217,3 @@ def test_tiny_product_cap_splits_groups_without_changing_verdicts():
     split_stream.feed_events(events)
     for name in suite:
         assert split_stream.verdicts(name) == fused_stream.verdicts(name), name
-
-
-def test_shard_payload_round_trip_matches_in_process_kernel():
-    histories = _random_histories(banking.ROLE_SETS, seed=31, count=300)
-    suite = generators.banking_monitoring_suite()
-    engine = HistoryCheckerEngine()
-    for name, spec in suite.items():
-        engine.add_spec(name, spec)
-
-    history_set = engine.encode_histories(histories)
-    names = tuple(suite)
-    kernel = engine._kernel_for(names)
-    specs = [(name, engine.compiled(name)) for name in names]
-    task = make_shard_task(kernel, specs, history_set.shard_payload(0, len(history_set)))
-    # The worker sees exactly what survives pickling.
-    worker_verdicts = check_columnar_shard(pickle.loads(pickle.dumps(task)))
-    assert worker_verdicts == engine.check_batch_all(histories)

@@ -6,8 +6,7 @@ the per-spec cursor paths (``HistoryCursor`` / ``CursorTable``), the
 streaming session (``StreamChecker``), the one-shot subset-construction
 oracle (``DFA.accepts``), a snapshot→restore round trip of the streaming
 session, and, since this PR, the numpy :class:`~repro.engine.vector.
-VectorKernel` (batch and streaming) -- plus a process-pool sharding
-backend.  Each is implemented independently enough to disagree in
+VectorKernel` (batch and streaming).  Each is implemented independently enough to disagree in
 interesting ways, so this suite drives all of them with seeded random
 specs (random schemas → random role-set regexes) over seeded random
 streams (spec walks, uniform noise, alien symbols) and asserts
@@ -25,9 +24,6 @@ streams (spec walks, uniform noise, alien symbols) and asserts
   translates live vector state columns through the new kernel;
 * LRU eviction pressure mid-stream (single-entry caches on a rotating
   subset of cases);
-* process-pool executor agreement with the serial path, including the
-  worker-side kernel cache, alternating kernel kinds so both the zlib and
-  the raw buffer-protocol shard payloads cross the pickle boundary;
 * the ``enforce=True`` admissibility gate (both kernel kinds) against an
   independent DFA-walk oracle with its own backward-reachability doomed
   set: the gate's rejected event indices must equal the oracle's fatal
@@ -53,7 +49,6 @@ from repro.engine import (
     EnforcementError,
     HistoryCheckerEngine,
     HistoryCursor,
-    ProcessPoolBackend,
 )
 from repro.workloads import generators
 
@@ -304,38 +299,6 @@ def test_differential_fuzz_all_paths_agree(fuzz_rounds):
     cases = BASE_CASES * fuzz_rounds
     for case in range(cases):
         _check_one_case(BASE_SEED + case, fresh_restore=case % 4 == 0)
-
-
-def test_pool_and_serial_verdicts_agree(fuzz_rounds):
-    """The process-pool sharding path returns the serial path's verdicts.
-
-    A tiny batch size (with the events-per-shard floor disabled) forces real
-    sharding (more shards than workers), re-registering a spec between
-    rounds exercises the worker-side kernel cache's ``(name, generation)``
-    invalidation, and alternating kernel kinds sends both the zlib-packed
-    and the raw buffer-protocol shard payloads across the pickle boundary.
-    """
-    kinds = ["fused", "auto"] if HAVE_NUMPY else ["fused"]
-    with ProcessPoolBackend(max_workers=2) as pool:
-        for round_index in range(2 * fuzz_rounds):
-            seed = BASE_SEED + 10_000 + round_index
-            specs, histories = _random_case(seed)
-            expected = _oracle(specs, histories)
-            engine = HistoryCheckerEngine(
-                executor=pool,
-                batch_size=3,
-                min_shard_events=1,
-                kernel=kinds[round_index % len(kinds)],
-            )
-            _register_all(engine, specs)
-            assert engine.check_batch_all(histories) == expected, seed
-            # Re-register the first spec with the last spec's automaton: the
-            # worker cache must not serve the stale kernel.
-            names = sorted(specs)
-            first, last = names[0], names[-1]
-            engine.add_spec(first, specs[last])
-            reregistered = engine.check_batch(first, histories)
-            assert reregistered == expected[last], seed
 
 
 def test_fuzz_case_generator_is_deterministic():

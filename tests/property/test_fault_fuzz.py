@@ -1,6 +1,6 @@
 """Differential chaos fuzzing: crash, corrupt, kill -- verdicts never change.
 
-Four seeded suites (100+ cases per tier-1 run; ``--fuzz-rounds`` multiplies
+Three seeded suites (90+ cases per tier-1 run; ``--fuzz-rounds`` multiplies
 the counts for the nightly chaos job), all pinned to the same invariant:
 whatever faults are injected, the surviving session's verdicts are
 **identical** to an uninterrupted single-process oracle fed the same
@@ -15,15 +15,11 @@ durable prefix.
   trailing junk over real snapshot blobs must raise
   :class:`~repro.engine.snapshot.SnapshotError` or restore cleanly --
   never ``struct.error``, ``zlib.error``, pickle errors or ``MemoryError``;
-* **supervised pool chaos** -- worker kills, injected exceptions and hung
-  shards (via :mod:`repro.testing.faults` inside the *production* shard
-  function) under :class:`~repro.engine.supervisor.SupervisedExecutor`
-  must still return the serial oracle's batch verdicts;
 * **SIGKILL mid-stream** -- a subprocess feeding a durable session is
   SIGKILLed between batches; the parent recovers the journal, checks the
   durable prefix byte-for-byte against the oracle, resumes the stream, and
-  (in the combined acceptance case) re-checks the final verdicts through a
-  supervised pool whose worker is killed mid-dispatch.
+  (in the first case) re-checks the final verdicts against a batch check
+  of the same histories.
 """
 
 from __future__ import annotations
@@ -38,28 +34,14 @@ import pytest
 
 import repro
 from repro.core.rolesets import enumerate_role_sets
-from repro.engine import (
-    FaultPolicy,
-    HistoryCheckerEngine,
-    ProcessPoolShardExecutor,
-    SnapshotError,
-    SupervisedExecutor,
-)
-from repro.testing.faults import (
-    FaultInjector,
-    FaultSpec,
-    bit_flip,
-    corrupt_file,
-    inject,
-    tear_file,
-)
+from repro.engine import HistoryCheckerEngine, SnapshotError
+from repro.testing.faults import bit_flip, corrupt_file, tear_file
 from repro.workloads import generators
 
 BASE_SEED = 0xFA17
 
 WAL_CASES = 60
 SNAPSHOT_CASES = 30
-POOL_CASES = 12
 SIGKILL_CASES = 3
 
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -208,54 +190,7 @@ def test_snapshot_wire_fuzz_never_leaks_parser_errors(fuzz_rounds):
 
 
 # --------------------------------------------------------------------------- #
-# Suite 3: supervised pool chaos
-# --------------------------------------------------------------------------- #
-def _run_pool_chaos_case(seed, scope_dir):
-    rng = random.Random(seed)
-    specs, histories = _random_case(seed)
-    expected = _engine(specs).check_batch_all(histories)
-    tag = f"seed={seed}"
-
-    action = rng.choice(["kill", "raise", "raise", "delay"])
-    if action == "delay":
-        spec = FaultSpec("worker.shard", "delay", times=1, delay=0.8)
-        policy = FaultPolicy(
-            max_attempts=4, shard_timeout=0.25, backoff_base=0.001, max_respawns=3, seed=seed
-        )
-    else:
-        spec = FaultSpec("worker.shard", action, times=rng.choice([1, 2]))
-        policy = FaultPolicy(max_attempts=4, backoff_base=0.001, max_respawns=3, seed=seed)
-    injector = FaultInjector([spec], seed=seed, scope_dir=scope_dir)
-    init_fn, init_args = injector.initializer()
-    inner = ProcessPoolShardExecutor(max_workers=2, initializer=init_fn, initargs=init_args)
-    with HistoryCheckerEngine(
-        executor=SupervisedExecutor(inner, policy),
-        batch_size=2,
-        min_shard_events=1,
-        kernel="fused",
-    ) as engine:
-        for name, nfa in specs.items():
-            engine.add_spec(name, nfa)
-        with inject(injector):
-            assert engine.check_batch_all(histories) == expected, (tag, action)
-        stats = engine.stats()["fault_tolerance"]
-        if action == "kill":
-            assert stats["respawns"] >= 1, tag
-        elif action == "delay":
-            assert stats["timeouts"] >= 1, tag
-        else:
-            assert stats["retries"] + stats["quarantined"] >= 1, tag
-
-
-def test_supervised_pool_chaos_fuzz(fuzz_rounds, tmp_path):
-    for case in range(POOL_CASES * fuzz_rounds):
-        scope = tmp_path / f"scope-{case}"
-        scope.mkdir()
-        _run_pool_chaos_case(BASE_SEED + 80_000 + case, str(scope))
-
-
-# --------------------------------------------------------------------------- #
-# Suite 4: SIGKILL mid-stream, recover in the parent
+# Suite 3: SIGKILL mid-stream, recover in the parent
 # --------------------------------------------------------------------------- #
 _CHILD_SCRIPT = """\
 import os, signal, sys
@@ -294,7 +229,7 @@ def _sigkill_child(seed, directory, cut, batch):
     return completed
 
 
-def _run_sigkill_case(seed, directory, scope_dir, with_pool_chaos):
+def _run_sigkill_case(seed, directory, with_batch_check):
     rng = random.Random(seed)
     specs, events = _stream_case(seed)
     batch = rng.choice([2, 3, 5])
@@ -311,30 +246,12 @@ def _run_sigkill_case(seed, directory, scope_dir, with_pool_chaos):
     assert final == _stream_oracle(specs, events), f"seed={seed}"
     recovered.close()
 
-    if not with_pool_chaos:
+    if not with_batch_check:
         return
-    # The combined acceptance scenario: the same case's batch verdicts via a
-    # supervised pool whose worker is killed mid-dispatch must agree with
-    # the recovered-and-resumed stream.
+    # The same case's batch verdicts must agree with the recovered-and-
+    # resumed stream.
     _specs, histories = _random_case(seed)
-    injector = FaultInjector(
-        [FaultSpec("worker.shard", "kill", times=1)], seed=seed, scope_dir=scope_dir
-    )
-    init_fn, init_args = injector.initializer()
-    inner = ProcessPoolShardExecutor(max_workers=2, initializer=init_fn, initargs=init_args)
-    with HistoryCheckerEngine(
-        executor=SupervisedExecutor(
-            inner, FaultPolicy(max_attempts=3, backoff_base=0.001, seed=seed)
-        ),
-        batch_size=2,
-        min_shard_events=1,
-        kernel="fused",
-    ) as pool_engine:
-        for name, nfa in specs.items():
-            pool_engine.add_spec(name, nfa)
-        with inject(injector):
-            batch_verdicts = pool_engine.check_batch_all(histories)
-        assert pool_engine.stats()["fault_tolerance"]["respawns"] >= 1, f"seed={seed}"
+    batch_verdicts = _engine(specs).check_batch_all(histories)
     for name, verdicts in batch_verdicts.items():
         streamed = [final[name][index] for index in range(len(histories))]
         assert streamed == verdicts, (f"seed={seed}", name)
@@ -342,13 +259,10 @@ def _run_sigkill_case(seed, directory, scope_dir, with_pool_chaos):
 
 def test_sigkill_mid_stream_recovers_to_oracle_verdicts(fuzz_rounds, tmp_path):
     for case in range(SIGKILL_CASES * fuzz_rounds):
-        scope = tmp_path / f"scope-{case}"
-        scope.mkdir()
         _run_sigkill_case(
             BASE_SEED + 90_000 + case,
             str(tmp_path / f"journal-{case}"),
-            str(scope),
-            with_pool_chaos=case == 0,
+            with_batch_check=case == 0,
         )
 
 
