@@ -1,10 +1,10 @@
-"""E23: the columnar event pipeline -- encode-once batches and the fused kernel.
+"""E23: the columnar event pipeline -- encode-once batches and the multi-spec kernel.
 
 The scale claim of the columnar PR, pinned by in-test assertions on a
 realistic monitoring workload (six simultaneous account constraints over
 ~10^6 mostly-conforming events from 10^5 objects):
 
-* encode-once + fused product sweep is at least 3x faster than the PR-2
+* encode-once + one multi-spec kernel pass is at least 3x faster than the PR-2
   per-spec sweeps -- for streaming (``StreamChecker.feed_events`` vs one
   ``CursorTable.advance_events`` pass per spec) *and* for batch checking
   (``check_batch_all`` vs one ``CompiledSpec.accepts`` pass per spec).
@@ -33,9 +33,7 @@ def conforming_1m():
 @pytest.fixture(scope="module")
 def suite_engine(conforming_1m):
     _histories, _events, suite = conforming_1m
-    # Pinned to the pure-Python kernel: E23's baselines track the fused
-    # interpreter; the numpy kernel has its own headline case (E25).
-    engine = HistoryCheckerEngine(kernel="fused")
+    engine = HistoryCheckerEngine()
     for name, spec in suite.items():
         engine.add_spec(name, spec)
     for name in suite:
@@ -58,7 +56,7 @@ def test_e23_fused_streaming_beats_per_spec_sweeps(
         old_tables[name].advance_events(spec, events)
     old_elapsed = time.perf_counter() - start
 
-    # Columnar path: encode once, advance every spec in one fused pass.
+    # Columnar path: encode once, advance every spec in one kernel pass.
     def stream_all():
         stream = engine.open_stream()
         batch = engine.encode_events(events, objects=stream.object_interner)
@@ -76,7 +74,7 @@ def test_e23_fused_streaming_beats_per_spec_sweeps(
     kernel = engine._kernel_for(tuple(suite))
     print(
         f"\n[E23] streaming {len(events)} events x {len(suite)} specs: "
-        f"per-spec sweeps {old_elapsed * 1000:.0f}ms, encode+fused {new_elapsed * 1000:.0f}ms, "
+        f"per-spec sweeps {old_elapsed * 1000:.0f}ms, encode+kernel {new_elapsed * 1000:.0f}ms, "
         f"speedup {speedup:.1f}x ({kernel!r})"
     )
     for name, spec in compiled.items():
@@ -114,7 +112,7 @@ def test_e23_fused_batch_checking_beats_per_spec_accepts(
     events = sum(len(history) for history in histories)
     print(
         f"\n[E23] batch {len(histories)} histories ({events} events) x {len(suite)} specs: "
-        f"per-spec accepts {old_elapsed * 1000:.0f}ms, fused columnar {new_elapsed * 1000:.0f}ms, "
+        f"per-spec accepts {old_elapsed * 1000:.0f}ms, columnar kernel {new_elapsed * 1000:.0f}ms, "
         f"speedup {speedup:.1f}x"
     )
     assert new_verdicts == old_verdicts

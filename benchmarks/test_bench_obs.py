@@ -30,8 +30,6 @@ from repro import obs
 from repro.engine import HistoryCheckerEngine
 from repro.workloads import generators
 
-np = pytest.importorskip("numpy")
-
 #: Where the enabled run's Prometheus text exposition lands (CI artifact).
 METRICS_DUMP = Path(__file__).resolve().parent.parent / "BENCH_obs_metrics.prom"
 
@@ -43,7 +41,7 @@ def conforming_1m():
 
 
 def _engine(suite, obs_setting):
-    engine = HistoryCheckerEngine(kernel="vector", obs=obs_setting)
+    engine = HistoryCheckerEngine(obs=obs_setting)
     for name, spec in suite.items():
         engine.add_spec(name, spec)
     for name in suite:

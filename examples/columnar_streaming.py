@@ -9,8 +9,9 @@ suite at once.  This example
 2. encodes a mostly-conforming event stream **once** against the engine's
    shared role-set alphabet -- after which no frozenset is ever hashed
    again,
-3. feeds the pre-encoded batch to a stream session whose fused product
-   kernel advances all six specs in a single pass per event, and
+3. feeds the pre-encoded batch to a stream session whose product kernel
+   (:mod:`repro.engine.vector`) advances all six specs in one pass of
+   column gathers, and
 4. re-registers one spec mid-stream (only its histories restart).
 
 Run with:  python examples/columnar_streaming.py
@@ -36,7 +37,7 @@ def main() -> None:
     print(f"stream: {len(events)} events over {len(histories)} accounts\n")
 
     # ----------------------------------------------------------------- #
-    # 2. + 3. Encode once, then one fused pass for all six specs.
+    # 2. + 3. Encode once, then one kernel pass for all six specs.
     # ----------------------------------------------------------------- #
     stream = engine.open_stream()
     start = time.perf_counter()
@@ -44,7 +45,7 @@ def main() -> None:
     stream.feed_events(batch)
     elapsed = time.perf_counter() - start
     kernel = engine._kernel_for(tuple(suite))
-    print(f"encode + fused sweep: {elapsed * 1000:.1f}ms with {kernel!r}")
+    print(f"encode + kernel pass: {elapsed * 1000:.1f}ms with {kernel!r}")
     for name in suite:
         verdicts = stream.verdicts(name)
         satisfied = sum(verdicts.values())

@@ -1,37 +1,30 @@
-"""Vector kernel walkthrough: the same monitoring suite, numpy gathers.
+"""Vector kernel walkthrough: one monitoring suite, numpy gathers.
 
-The vector kernel (:mod:`repro.engine.vector`) mirrors the fused product
-kernel's transition tables as flat narrow-dtype ndarrays and advances a
-whole encoded batch with column gathers instead of a per-event Python
-loop.  This example
+The engine's multi-spec kernel (:mod:`repro.engine.vector`) fuses the
+registered specs into product automata, stores each product's transition
+table as a flat narrow-dtype ndarray, and advances a whole encoded batch
+with column gathers instead of a per-event Python loop.  This example
 
-1. registers the six-constraint banking monitoring suite twice -- once
-   with ``kernel="fused"`` (the pure-Python product kernel) and once with
-   ``kernel="vector"`` (the numpy gather kernel),
-2. streams the identical pre-encoded event batch through both and compares
-   wall-clock and verdicts (always identical -- the vector kernel inherits
-   the fused kernel's state numbering),
-3. peeks at the machinery: the per-group table dtypes from the
-   uint8/uint16/uint32 ladder and the peel plan cached on the batch, and
-4. snapshots the vector session and restores it under the fused kernel --
-   the snapshot wire format is kind-portable, so a monitor checkpointed on
-   a numpy host restores on a plain-Python one.
-
-Without numpy installed (it ships as the optional ``repro[fast]`` extra)
-the example still runs: ``kernel="auto"`` -- the default -- silently uses
-the fused kernel, and the vector half of the comparison is skipped.
+1. registers the six-constraint banking monitoring suite and shows the
+   per-group table dtypes picked from the uint8/uint16/uint32 ladder,
+2. streams one pre-encoded batch twice: the first (cold) feed builds the
+   batch's peel plan, the warm feed replays the plan cached on the batch,
+3. snapshots the session and restores it into a fresh engine -- once with
+   the same grouping, once with a product cap that splits the suite into
+   several groups, where the states are translated per spec -- and checks
+   that both restored sessions finish the stream with the same verdicts.
 
 Run with:  python examples/vector_kernel.py
 """
 
 import time
 
-from repro.engine import HAVE_NUMPY, HistoryCheckerEngine
+from repro.engine import PRODUCT_STATE_CAP, HistoryCheckerEngine
 from repro.workloads import generators
 
 
-def build_engine(suite, kind: str) -> HistoryCheckerEngine:
-    engine = HistoryCheckerEngine(kernel=kind)
+def build_engine(suite, product_cap: int = PRODUCT_STATE_CAP) -> HistoryCheckerEngine:
+    engine = HistoryCheckerEngine(product_cap=product_cap)
     for name, spec in suite.items():
         engine.add_spec(name, spec)
     for name in suite:
@@ -39,16 +32,10 @@ def build_engine(suite, kind: str) -> HistoryCheckerEngine:
     return engine
 
 
-def timed_stream(engine, events):
-    """Best-of-three feed of a pre-encoded batch, plus the final stream."""
-    batch = engine.encode_events(events)
-    best, stream = float("inf"), None
-    for _ in range(3):
-        stream = engine.open_stream()
-        start = time.perf_counter()
-        stream.feed_events(batch)
-        best = min(best, time.perf_counter() - start)
-    return best, stream, batch
+def timed_feed(stream, batch) -> float:
+    start = time.perf_counter()
+    stream.feed_events(batch)
+    return time.perf_counter() - start
 
 
 def main() -> None:
@@ -57,33 +44,12 @@ def main() -> None:
     )
     print(f"monitoring suite: {', '.join(suite)}")
     print(f"stream: {len(events)} events over {len(histories)} accounts")
-    if not HAVE_NUMPY:
-        print("\nnumpy is not installed (pip install 'repro[fast]'):")
-        print('kernel="auto" falls back to the pure-Python fused kernel.')
-        engine = build_engine(suite, "auto")
-        elapsed, stream, _batch = timed_stream(engine, events)
-        print(f"fused sweep: {elapsed * 1000:.1f}ms")
-        return
+    engine = build_engine(suite)
 
     # ----------------------------------------------------------------- #
-    # 1. + 2. The same batch through both kernels.
+    # 1. The dtype ladder: each group's table in the narrowest dtype.
     # ----------------------------------------------------------------- #
-    fused = build_engine(suite, "fused")
-    vector = build_engine(suite, "vector")
-    fused_ms, fused_stream, _ = timed_stream(fused, events)
-    vector_ms, vector_stream, batch = timed_stream(vector, events)
-    print(
-        f"\nfused sweep:  {fused_ms * 1000:6.1f}ms"
-        f"\nvector sweep: {vector_ms * 1000:6.1f}ms"
-        f"  ({fused_ms / vector_ms:.1f}x, same verdicts)"
-    )
-    for name in suite:
-        assert vector_stream.verdicts(name) == fused_stream.verdicts(name), name
-
-    # ----------------------------------------------------------------- #
-    # 3. The machinery: dtype ladder and the cached peel plan.
-    # ----------------------------------------------------------------- #
-    kernel = vector._kernel_for(tuple(suite))
+    kernel = engine._kernel_for(tuple(suite))
     for index, group in enumerate(kernel.groups):
         table = kernel._table(index).table
         print(
@@ -91,24 +57,38 @@ def main() -> None:
             f"{table.shape[0]} product states x {table.shape[1]} symbols, "
             f"dtype {table.dtype} ({table.nbytes} bytes)"
         )
-    chunk_size, _plan, (gathers, scalar_events), _scaled = batch._np_plan
-    print(
-        f"peel plan: {gathers} gather rounds over "
-        f"{-(-len(events) // chunk_size)} chunks of {chunk_size} events "
-        f"({scalar_events} scalar-fallback events), "
-        f"cached on the batch (warm feeds replay it)"
-    )
 
     # ----------------------------------------------------------------- #
-    # 4. Kind-portable snapshots: vector session, fused restore.
+    # 2. The peel plan: built on the first feed, cached on the batch.
     # ----------------------------------------------------------------- #
-    blob = vector_stream.snapshot()
-    restored = fused.restore_stream(blob)
-    assert restored.all_verdicts() == vector_stream.all_verdicts()
+    half = len(events) // 2
+    batch = engine.encode_events(events[:half])
+    cold = timed_feed(engine.open_stream(), batch)
+    stream = engine.open_stream()
+    warm = timed_feed(stream, batch)
+    chunk_size, _plan, (gathers, scalar_events), _scaled = batch._np_plan
     print(
-        f"\nsnapshot: {len(blob) / 1024:.0f}KB from the vector session, "
-        f"restored verdict-identical under the fused kernel"
+        f"\npeel plan: {gathers} gather rounds over "
+        f"{-(-len(batch) // chunk_size)} chunks of {chunk_size} events "
+        f"({scalar_events} scalar-fallback events)"
     )
+    print(f"cold feed (builds the plan): {cold * 1000:6.1f}ms")
+    print(f"warm feed (replays it):      {warm * 1000:6.1f}ms")
+
+    # ----------------------------------------------------------------- #
+    # 3. Snapshot round trips, same grouping and split grouping.
+    # ----------------------------------------------------------------- #
+    blob = stream.snapshot()
+    stream.feed_events(events[half:])
+    expected = stream.all_verdicts()
+    print(f"\nsnapshot: {len(blob) / 1024:.0f}KB after {half} events")
+    for label, product_cap in (("same grouping", PRODUCT_STATE_CAP), ("split grouping", 8)):
+        target = build_engine(suite, product_cap)
+        restored = target.restore_stream(blob)
+        restored.feed_events(events[half:])
+        assert restored.all_verdicts() == expected, label
+        groups = len(target._kernel_for(tuple(suite)).groups)
+        print(f"restored with {label} ({groups} group(s)): verdict-identical")
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ Compiling a spec (intern + determinize + minimize + table flattening) is
 the expensive part of the engine; checking events against it is cheap.  The
 engine therefore keeps compiled tables in a bounded least-recently-used
 cache keyed by ``(spec name, generation)`` -- and a second, smaller
-instance holds fused product kernels keyed by spec generations and the
-shared-alphabet version (:mod:`repro.engine.batch`).  Because compilation
+instance holds multi-spec product kernels keyed by spec generations and the
+shared-alphabet version (:mod:`repro.engine.vector`).  Because compilation
 and kernel construction are deterministic (:mod:`repro.engine.compiler`),
 an entry may be evicted at any point -- mid-stream included -- and
 transparently rebuilt on next use without invalidating the integer cursor

@@ -211,7 +211,7 @@ class CompiledSpec:
         return remap
 
     def dense_arrays(self) -> Tuple:
-        """The table and flag columns as flat numpy arrays (requires numpy).
+        """The table and flag columns as flat numpy arrays.
 
         Returns ``(table, accepting, doomed, remap)`` where ``table`` has
         shape ``(n_states, n_symbols)`` and the other three are 1-D.  All

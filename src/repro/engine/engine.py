@@ -38,10 +38,8 @@ from repro.engine.batch import (
     PRODUCT_STATE_CAP,
     ColumnarHistorySet,
     EncodedBatch,
-    FusedKernel,
     ObjectInterner,
 )
-from repro.engine import vector
 from repro.engine.cache import SpecCache
 from repro.engine.compiler import CompiledSpec, compile_spec
 from repro.engine.diagnostics import (
@@ -51,6 +49,7 @@ from repro.engine.diagnostics import (
     Violation,
     diagnose,
 )
+from repro.engine.vector import VectorKernel
 from repro.formal.alphabet import RoleSetAlphabet
 from repro.formal.nfa import NFA
 from repro.obs import enabled as _obs_enabled
@@ -128,14 +127,9 @@ class HistoryCheckerEngine:
     cache_size:
         Capacity of the compiled-spec LRU cache.
     product_cap:
-        Product states per fused-kernel group before specs spill into a new
-        group (:data:`repro.engine.batch.PRODUCT_STATE_CAP`).
-    kernel:
-        Which multi-spec kernel advances encoded columns: ``"fused"`` (the
-        pure-Python product kernel), ``"vector"`` (the numpy gather kernel,
-        :mod:`repro.engine.vector`; raises when numpy is missing) or
-        ``"auto"`` (the default -- vector when numpy imports, silently
-        fused otherwise).
+        Product states per kernel group before specs spill into a new group
+        (:data:`repro.engine.batch.PRODUCT_STATE_CAP`).  Every multi-spec
+        check runs on :class:`repro.engine.vector.VectorKernel`.
     obs:
         Observability wiring (:mod:`repro.obs`).  ``None`` (the default)
         follows the process switch -- the engine is instrumented against
@@ -151,22 +145,10 @@ class HistoryCheckerEngine:
         self,
         cache_size: int = 64,
         product_cap: int = PRODUCT_STATE_CAP,
-        kernel: str = "auto",
         obs=None,
     ) -> None:
-        if kernel not in ("auto", "fused", "vector"):
-            raise ValueError(
-                f"kernel must be 'auto', 'fused' or 'vector', not {kernel!r}"
-            )
-        if kernel == "vector" and not vector.HAVE_NUMPY:
-            raise RuntimeError(
-                "kernel='vector' needs numpy, which is not installed; install the "
-                "repro[fast] extra, or use kernel='auto' to fall back to the fused "
-                "kernel"
-            )
         self._cache = SpecCache(cache_size)
         self._product_cap = product_cap
-        self._kernel_choice = kernel
         self._sources: Dict[str, NFA] = {}
         self._generations: Dict[str, int] = {}
         #: MCL provenance per spec (a ``CompiledConstraint`` with span-anchored
@@ -458,32 +440,18 @@ class HistoryCheckerEngine:
         """Encode whole histories once; reusable across every registered spec."""
         return ColumnarHistorySet.from_histories(histories, self._alphabet)
 
-    def _kernel_kind(self) -> str:
-        """Which kernel kind the engine's ``kernel=`` choice resolves to now.
-
-        ``"auto"`` re-reads :data:`repro.engine.vector.HAVE_NUMPY` on every
-        resolution, so the no-numpy fallback is decided by the environment,
-        not frozen at construction.
-        """
-        if self._kernel_choice == "auto":
-            return "vector" if vector.HAVE_NUMPY else "fused"
-        return self._kernel_choice
-
-    def _kernel_for(self, names: Sequence[str]) -> FusedKernel:
-        """The multi-spec kernel over ``names`` (cached by generations, alphabet
-        and kind)."""
+    def _kernel_for(self, names: Sequence[str]) -> VectorKernel:
+        """The multi-spec kernel over ``names`` (cached by generations and
+        alphabet)."""
         specs = [(name, self.compiled(name)) for name in names]
-        kind = self._kernel_kind()
         key = (
             tuple((name, self._generations[name]) for name in names),
             len(self._alphabet),
             self._product_cap,
-            kind,
         )
         kernel = self._kernels.get(key)
         if kernel is None:
-            factory = vector.VectorKernel if kind == "vector" else FusedKernel
-            kernel = factory(specs, len(self._alphabet), self._product_cap)
+            kernel = VectorKernel(specs, len(self._alphabet), self._product_cap)
             if self._obs is not None:
                 kernel.obs = self._obs.kernel(kernel.kind)
             self._kernels.put(key, kernel)
@@ -590,7 +558,7 @@ class HistoryCheckerEngine:
         and every selected spec, the index of the first event after which
         acceptance became impossible -- ``None`` when the history stays
         salvageable throughout, ``-1`` when the spec's language is empty.
-        Shares the encode-once/fused-kernel pipeline of
+        Shares the encode-once kernel pipeline of
         :meth:`check_batch_all`.
         """
         selected = tuple(names) if names is not None else self.spec_names()
@@ -598,7 +566,7 @@ class HistoryCheckerEngine:
             return {}
         history_set = self._history_set(histories)
         kernel = self._kernel_for(selected)
-        fatal = kernel.fatal_histories(history_set.code_list, history_set.lengths())
+        fatal = kernel.fatal_histories(history_set)
         return {name: fatal[name] for name in selected}
 
     # ------------------------------------------------------------------ #
@@ -715,7 +683,7 @@ class HistoryCheckerEngine:
         """
         data: Dict[str, object] = {
             "specs": len(self._sources),
-            "kernel": self._kernel_kind(),
+            "kernel": VectorKernel.kind,
             "alphabet_size": len(self._alphabet),
             "spec_cache": self._cache.stats(),
             "kernel_cache": self._kernels.stats(),
@@ -729,14 +697,14 @@ class HistoryCheckerEngine:
 class StreamChecker:
     """Incremental checking of an interleaved multi-object event stream.
 
-    The session keeps one dense state column per fused-kernel group: object
-    ids are interned to dense integers (:class:`repro.engine.batch.
-    ObjectInterner`) and each object's entry holds a direct reference to its
-    current product-state row, so :meth:`feed_events` advances *every* spec
-    with a single subscript chain per event.  Batches may arrive raw (they
-    are encoded once against the engine's shared alphabet) or already
-    encoded (:class:`repro.engine.batch.EncodedBatch`, e.g. from the
-    workload generators).
+    The session keeps one dense state column per kernel group: object ids
+    are interned to dense integers (:class:`repro.engine.batch.
+    ObjectInterner`) and each object's entry holds its current product-state
+    index, so :meth:`feed_events` advances *every* spec with one peel-plan
+    replay of gathers per group (:mod:`repro.engine.vector`).  Batches may
+    arrive raw (they are encoded once against the engine's shared alphabet)
+    or already encoded (:class:`repro.engine.batch.EncodedBatch`, e.g. from
+    the workload generators).
 
     Specs are re-resolved through the engine's LRU cache on every batch, so
     compiled tables may be evicted and deterministically recompiled
@@ -776,8 +744,8 @@ class StreamChecker:
         self._names = names
         self._generations: Dict[str, int] = {name: engine.generation(name) for name in names}
         self._interner = ObjectInterner()
-        self._columns: List[list] = []
-        self._kernel: Optional[FusedKernel] = None
+        self._columns: List = []
+        self._kernel: Optional[VectorKernel] = None
         #: Per spec, the dense ids seen since that spec's last reset --
         #: ``None`` meaning "every object fed so far" (the common case,
         #: kept implicit so the hot path never builds per-batch id sets).
@@ -809,8 +777,8 @@ class StreamChecker:
         """The id space of this session (share it to pre-encode batches)."""
         return self._interner
 
-    def _resolve_kernel(self) -> FusedKernel:
-        """The current fused kernel, translating states across rebuilds.
+    def _resolve_kernel(self) -> VectorKernel:
+        """The current kernel, translating states across rebuilds.
 
         Every call resolves each spec through the engine's compile cache
         (evictions and recompilations stay visible in ``cache_stats``).  A

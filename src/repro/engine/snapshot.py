@@ -16,9 +16,12 @@ the session records histories for diagnostics -- the encoded traces, the
 symbol table needed to re-encode them elsewhere, and the per-spec reset
 marks that keep ``explain`` aligned with the verdicts.  Group payloads are
 compact: the *occupied* product states are listed once as per-spec
-component tuples, and the per-object column ships as narrow-dtype
-zlib-compressed indices into that list (:func:`repro.engine.batch.
-_pack_column`), so 10⁵ objects cost a few KB, not a pickle of 10⁵ rows.
+component tuples, and the per-object column ships as narrow-dtype indices
+into that list, packed straight off the kernel's ndarray column and
+zlib-compressed when that is smaller (:meth:`repro.engine.vector.
+VectorKernel.snapshot_groups`), so 10⁵ objects cost a few KB, not a pickle
+of 10⁵ rows.  Trace columns use the same ``(typecode, zlib flag, bytes)``
+packing.
 
 Restore validates, never trusts:
 
@@ -66,7 +69,7 @@ adopting the engine's current generations) and ``reset_on_restore`` stays
 restored stream never resets retroactively for generation bumps that
 happened between dump and restore.
 
-States are translated, not copied: the restoring engine's fused kernel may
+States are translated, not copied: the restoring engine's kernel may
 group specs differently (different shared-alphabet width, different
 product-cap packing), so each occupied product state is re-materialized
 through ``ensure_state`` from its per-spec components -- once per distinct
@@ -81,8 +84,10 @@ import struct
 import zlib
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.engine.batch import COLUMN_WIRE_LIMIT as _COLUMN_LIMIT
-from repro.engine.batch import ObjectInterner, _pack_column, _unpack_column
+from repro.engine.batch import ObjectInterner, _pack_column, _unpack_ints
 
 MAGIC = b"RSNP"
 FORMAT_VERSION = 2
@@ -145,9 +150,6 @@ def dump_stream(stream) -> bytes:
     """
     engine = stream._engine
     kernel = stream._resolve_kernel() if stream._names else None
-    # The kernel packs its own columns: the fused kernel reads row indices,
-    # the vector kernel serializes straight off its ndarray buffers -- both
-    # emit the identical wire payload, so snapshots are kind-portable.
     groups: List[Dict] = [] if kernel is None else kernel.snapshot_groups(stream._columns)
     specs = {
         name: {
@@ -227,10 +229,10 @@ def _spec_state_columns(
     """Per-spec DFA state columns recovered from the group payloads."""
     states: Dict[str, List[int]] = {}
     for group in body["groups"]:
-        indices = _unpack_column(group["column"], limit=_COLUMN_LIMIT)
+        indices = _unpack_ints(group["column"], _COLUMN_LIMIT)
         for j, name in enumerate(group["names"]):
-            lookup = [signature[j] for signature in group["states"]]
-            states[name] = list(map(lookup.__getitem__, indices))
+            lookup = np.asarray([signature[j] for signature in group["states"]], dtype=np.int64)
+            states[name] = lookup[indices].tolist()
     for name in names:
         column = states.get(name)
         if column is None or len(column) < n_objects:
@@ -329,24 +331,24 @@ def _rebuild(engine, body: Dict, names: Tuple[str, ...]):
             )
         alphabet = engine.alphabet
         recode = [alphabet.intern(symbol) for symbol in traces["symbols"]]
-        lengths = _unpack_column(traces["lengths"], limit=_COLUMN_LIMIT)
-        flat = _unpack_column(traces["codes"], limit=_COLUMN_LIMIT)
-        rebuilt = []
-        position = 0
+        lengths = _unpack_ints(traces["lengths"], _COLUMN_LIMIT).tolist()
         try:
-            for length in lengths:
-                rebuilt.append(list(map(recode.__getitem__, flat[position : position + length])))
-                position += length
+            flat = _unpack_ints(traces["codes"], _COLUMN_LIMIT, through=recode).tolist()
         except IndexError:
             raise SnapshotError(
                 "corrupt stream snapshot: a trace code points outside the recorded "
                 "symbol table"
             ) from None
+        rebuilt = []
+        position = 0
+        for length in lengths:
+            rebuilt.append(flat[position : position + length])
+            position += length
         while len(rebuilt) < n_objects:
             rebuilt.append([])
         stream._traces = rebuilt
         stream._trace_marks = {
-            name: _unpack_column(packed, limit=_COLUMN_LIMIT)
+            name: _unpack_ints(packed, _COLUMN_LIMIT).tolist()
             for name, packed in traces["marks"].items()
         }
         for name in resets:

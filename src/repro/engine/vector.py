@@ -1,12 +1,11 @@
-"""The vectorized fused kernel: numpy transition gathers over encoded columns.
+"""The multi-spec kernel: numpy transition gathers over encoded columns.
 
-:class:`VectorKernel` mirrors each :class:`repro.engine.batch._ProductGroup`
-as a flat ndarray transition table of shape ``(states, symbols)`` in the
-narrowest unsigned dtype that fits (the uint8/uint16/uint32 ladder), and
-keeps the per-object state columns as ndarrays of dense state indices
-instead of Python row references.  Advancing a batch then replaces the
-per-event interpreter loop of :meth:`repro.engine.batch.FusedKernel.
-advance_all` with a handful of whole-column gathers.
+:class:`VectorKernel` fuses the registered specs into greedily packed
+product groups (:class:`repro.engine.batch._ProductGroup`), mirrors each
+group as a flat ndarray transition table of shape ``(states, symbols)`` in
+the narrowest unsigned dtype that fits (the uint8/uint16/uint32 ladder),
+and keeps the per-object state columns as ndarrays of dense state indices.
+Advancing a batch is a handful of whole-column gathers.
 
 The interesting part is *ordering*: events of one object must be applied in
 sequence, but a flat gather advances every event at once.  The kernel cuts
@@ -29,47 +28,36 @@ A pathologically skewed chunk (one object owning more than
 cached nested-list scalar loop instead of degenerating into thousands of
 near-empty rounds.
 
-Contiguous whole-history checking (``check_histories``) vectorizes
-differently: histories are sorted by length (descending, stable), and round
-``r`` advances the still-active prefix with one gather -- the active count
-per round comes from a single ``bincount``/``cumsum`` over the length
-column, so the loop runs ``max_length`` rounds of pure array ops.
+Contiguous whole-history checking (:meth:`VectorKernel.check_history_set`,
+:meth:`VectorKernel.fatal_histories`) vectorizes differently: histories are
+sorted by length (descending, stable), and round ``r`` advances the
+still-active prefix with one gather -- the active count per round comes
+from a single ``bincount``/``cumsum`` over the length column, so the loop
+runs ``max_length`` rounds of pure array ops.
 
-Everything interoperates with the fused kernel: state columns convert
-through dense indices (``index_columns`` / ``_columns_from_indices``),
-and snapshots use the same packed wire format (so a vector snapshot
-restores on a no-numpy host and vice versa).
-
-The module imports without numpy (:data:`HAVE_NUMPY` is the gate the engine
-reads for ``kernel="auto"``); only constructing a :class:`VectorKernel`
-actually requires it.
+State columns travel as dense product-state indices: they are translated
+across kernel rebuilds (re-registration, alphabet growth, a different
+product-cap grouping) and shipped in snapshots as packed narrow-dtype
+columns (:func:`repro.engine.batch._pack_column`).
 """
 
 from __future__ import annotations
 
-import zlib
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.engine.batch import (
-    _PAYLOAD_ZLIB_LEVEL,
     COLUMN_WIRE_LIMIT,
+    PRODUCT_STATE_CAP,
     ColumnarHistorySet,
     EncodedBatch,
-    FusedKernel,
-    _is_prefix,
-    _pack_array,
+    _build_group,
+    _pack_column,
     _ProductGroup,
-    _unpack_array,
+    _unpack_ints,
 )
 from repro.engine.compiler import CompiledSpec
-
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-    np = None
-    HAVE_NUMPY = False
 
 #: Events per peel chunk.  Large enough that per-round numpy overhead
 #: amortizes, small enough that the peel working set stays cache-resident
@@ -91,33 +79,26 @@ def _dtype_for(n_states: int):
     return np.uint32
 
 
-# --------------------------------------------------------------------------- #
-# Column caches on the history-set type
-# --------------------------------------------------------------------------- #
-def _history_code_array(history_set: ColumnarHistorySet):
-    """The flat history code column as an ndarray (zero-copy view, cached)."""
-    if history_set._np_codes is None:
-        history_set._np_codes = np.frombuffer(history_set.codes, dtype=np.int64)
-    return history_set._np_codes
+def _is_prefix(seen: Iterable[int]) -> bool:
+    """Whether ``seen`` is ``range(n)``: every dense id below ``n``."""
+    return isinstance(seen, range) and seen.start == 0 and seen.step == 1
 
 
-def _offset_array(history_set: ColumnarHistorySet):
-    """The offsets column as an int64 ndarray view (offsets never mutate)."""
-    return np.frombuffer(history_set.offsets, dtype=np.int64)
+def _length_rounds(history_set: ColumnarHistorySet):
+    """``(order, starts, active)`` for a round-by-round sweep of a history set.
 
-
-def pack_index_array(values) -> Tuple[str, int, bytes]:
-    """:func:`repro.engine.batch._pack_column` for an ndarray source.
-
-    Emits the identical ``(typecode, zlib flag, bytes)`` wire form --
-    snapshots written by either kernel kind restore under the other -- but
-    narrows and serializes straight from the array buffer.
+    ``order`` sorts the histories by length (descending, stable),
+    ``starts`` holds their start offsets in that order, and ``active[r]``
+    counts the histories longer than ``r`` -- the sorted prefix round ``r``
+    advances.  ``len(active)`` is the longest history's length.
     """
-    typecode, _flag, raw = _pack_array(values)
-    packed = zlib.compress(raw, _PAYLOAD_ZLIB_LEVEL)
-    if len(packed) < len(raw):
-        return typecode, 1, packed
-    return typecode, 0, raw
+    offsets = history_set.offset_array
+    lengths = np.diff(offsets)
+    order = np.argsort(-lengths, kind="stable")
+    max_length = int(lengths[order[0]])
+    counts = np.bincount(lengths, minlength=max_length + 1)
+    active = len(lengths) - np.cumsum(counts[:max_length])
+    return order, offsets[:-1][order], active.tolist()
 
 
 # --------------------------------------------------------------------------- #
@@ -217,36 +198,81 @@ class _GroupTable:
 # --------------------------------------------------------------------------- #
 # The kernel
 # --------------------------------------------------------------------------- #
-class VectorKernel(FusedKernel):
-    """A :class:`FusedKernel` whose columns and tables are flat ndarrays.
+class VectorKernel:
+    """Every registered spec fused into product groups, advanced by gathers.
 
-    Construction, spec grouping, product closure and the dense state
-    numbering are inherited unchanged -- the two kernels agree on every
-    state index by construction, which is what lets streams, snapshots and
-    the differential fuzz suite move columns between them freely.
+    Most spec sets fit one group, so :meth:`advance_all` is one peel-plan
+    replay over the encoded batch; a spec whose addition would blow the
+    product cap starts a new group (degenerating, at worst, to one spec per
+    group).  Group states carry dense indices, which are what the state
+    columns hold, what snapshots ship and what :meth:`translate_columns`
+    carries across kernel rebuilds.
     """
 
-    __slots__ = ("_tables",)
+    __slots__ = ("names", "width", "groups", "locate", "obs", "_tables")
 
+    #: The kernel implementation; the kernel-layer instruments and
+    #: ``engine.stats()["kernel"]`` report it.
     kind = "vector"
 
     def __init__(
         self,
         specs: Sequence[Tuple[str, CompiledSpec]],
         width: int,
-        cap: Optional[int] = None,
+        cap: int = PRODUCT_STATE_CAP,
     ) -> None:
-        if not HAVE_NUMPY:  # pragma: no cover - exercised on the no-numpy CI leg
-            raise RuntimeError(
-                "VectorKernel needs numpy; install the repro[fast] extra or use the "
-                "fused kernel (HistoryCheckerEngine(kernel='auto'))"
-            )
-        if cap is None:
-            from repro.engine.batch import PRODUCT_STATE_CAP
-
-            cap = PRODUCT_STATE_CAP
-        super().__init__(specs, width, cap)
+        self.names: Tuple[str, ...] = tuple(name for name, _spec in specs)
+        self.width = width
+        #: Kernel-layer observability instruments
+        #: (:class:`repro.obs.instruments.KernelInstruments`) or ``None``;
+        #: assigned by the owning engine, so the disabled hot path pays one
+        #: attribute check and nothing else.
+        self.obs = None
+        self.groups: List[_ProductGroup] = []
+        self.locate: Dict[str, Tuple[int, int]] = {}
+        # Realistic spec sets fit one group: try that first, so the greedy
+        # packing does not rebuild the product once per spec prefix (it
+        # would end with this very group).
+        whole = None
+        if len(specs) > 1:
+            whole = _build_group(self.names, [spec for _name, spec in specs], width, cap)
+        if whole is not None:
+            self.groups.append(whole)
+        else:
+            self._pack_greedily(specs, width, cap)
+        for group_index, group in enumerate(self.groups):
+            for j, name in enumerate(group.names):
+                self.locate[name] = (group_index, j)
         self._tables = [_GroupTable() for _group in self.groups]
+
+    def _pack_greedily(
+        self, specs: Sequence[Tuple[str, CompiledSpec]], width: int, cap: int
+    ) -> None:
+        """Pack specs into groups in order, sealing a group when the next
+        spec would blow the state cap."""
+        pending_names: List[str] = []
+        pending_specs: List[CompiledSpec] = []
+        current: Optional[_ProductGroup] = None
+        for name, spec in specs:
+            attempt = _build_group(
+                tuple(pending_names + [name]), pending_specs + [spec], width, cap
+            )
+            if attempt is not None:
+                pending_names.append(name)
+                pending_specs.append(spec)
+                current = attempt
+            elif current is not None:
+                # Adding this spec would blow the cap: seal the group built
+                # so far and open a new one with the spec alone (a single
+                # spec is always admitted, whatever its size).
+                self.groups.append(current)
+                pending_names, pending_specs = [name], [spec]
+                current = _build_group((name,), [spec], width, None)
+            else:
+                self.groups.append(_build_group((name,), [spec], width, None))
+                pending_names, pending_specs, current = [], [], None
+        if current is not None:
+            self.groups.append(current)
 
     def _table(self, group_index: int) -> _GroupTable:
         return self._tables[group_index].sync(self.groups[group_index])
@@ -255,12 +281,15 @@ class VectorKernel(FusedKernel):
     # Streaming
     # ------------------------------------------------------------------ #
     def new_columns(self, n_objects: int = 0) -> List:
+        """One state column per group, every object at the group root."""
         return [
             np.full(n_objects, group.root[-1], dtype=self._table(gi).table.dtype)
             for gi, group in enumerate(self.groups)
         ]
 
     def grow_columns(self, columns: List, n_objects: int) -> None:
+        """Extend each column so freshly interned objects start at the root
+        (and widen it when its group's table outgrew the column dtype)."""
         for gi, group in enumerate(self.groups):
             table = self._table(gi).table
             column = columns[gi]
@@ -273,6 +302,12 @@ class VectorKernel(FusedKernel):
                 )
 
     def advance_all(self, columns: List, batch: EncodedBatch) -> int:
+        """Advance every spec over one encoded batch; returns the event count.
+
+        A group whose whole population has collapsed onto its doomed sink
+        (and which the batch introduces no new objects to) skips its pass
+        entirely -- the doomed-population early exit.
+        """
         count = len(batch)
         if not count:
             return 0
@@ -331,6 +366,7 @@ class VectorKernel(FusedKernel):
             column[o] = rows[column[o]][c]
 
     def verdicts_of(self, name: str, column_set: List, seen: Iterable[int]) -> List[bool]:
+        """One spec's verdicts for the dense ids in ``seen``, in ``seen`` order."""
         group_index, j = self.locate[name]
         column = column_set[group_index]
         if _is_prefix(seen):
@@ -340,6 +376,10 @@ class VectorKernel(FusedKernel):
         return (self._table(group_index).accepting[j][states] != 0).tolist()
 
     def state_of(self, columns: List, group_index: int, dense: int) -> int:
+        """The dense product-state index of one object in one group.
+
+        Objects outside the column (never fed) rest at the group root.
+        """
         column = columns[group_index]
         if 0 <= dense < len(column):
             return int(column[dense])
@@ -349,9 +389,70 @@ class VectorKernel(FusedKernel):
     # Preventive enforcement
     # ------------------------------------------------------------------ #
     def _successor_index(self, group_index: int, state: int, code: int) -> int:
+        """The dense successor-state index for one ``(state, code)`` step."""
         return int(self._table(group_index).table[state, code])
 
+    def admissible_code(
+        self, columns: List, dense: int, code: int, only: Optional[str] = None
+    ) -> bool:
+        """Whether admitting one encoded event keeps acceptance possible.
+
+        O(1) per group: one successor lookup plus one ``alive`` flag read --
+        no replay, no column scan.  ``only`` restricts the question to one
+        spec (its ``spec_doomed`` flag); otherwise the event must keep
+        *every* spec of the session non-doomed.  Codes outside the kernel's
+        alphabet width (or ``-1``) are never admissible: they are outside
+        every registered spec's alphabet, so their successor is dead
+        everywhere.
+        """
+        if code < 0 or code >= self.width:
+            return not self.groups if only is None else False
+        if only is not None:
+            group_index, j = self.locate[only]
+            state = self.state_of(columns, group_index, dense)
+            successor = self._successor_index(group_index, state, code)
+            return not self.groups[group_index].spec_doomed[j][successor]
+        for group_index, group in enumerate(self.groups):
+            state = self.state_of(columns, group_index, dense)
+            if not group.alive[self._successor_index(group_index, state, code)]:
+                return False
+        return True
+
+    def blocking_specs(self, states: Sequence[int], code: int) -> Tuple[str, ...]:
+        """The specs a rejected event would have doomed, most specific first.
+
+        ``states`` holds the object's pre-event dense state index per group
+        (the shape :meth:`advance_all_enforced` records on each rejection).
+        Specs that become doomed *by this event* lead; when none do (the
+        object was already doomed before enforcement began), every spec
+        doomed at the successor is listed instead.
+        """
+        newly: List[str] = []
+        already: List[str] = []
+        for group_index, group in enumerate(self.groups):
+            state = states[group_index]
+            if code < 0 or code >= self.width:
+                successor = None  # outside every alphabet: dead for all specs
+            else:
+                successor = self._successor_index(group_index, state, code)
+            for j, name in enumerate(group.names):
+                doomed_after = True if successor is None else bool(
+                    group.spec_doomed[j][successor]
+                )
+                if not doomed_after:
+                    continue
+                if group.spec_doomed[j][state]:
+                    already.append(name)
+                else:
+                    newly.append(name)
+        return tuple(newly) if newly else tuple(already)
+
     def component_states(self, columns: List, name: str) -> List[int]:
+        """One spec's per-object DFA state column (decoded from the product).
+
+        The delta-extraction read of re-registration: objects still at the
+        spec's initial state need no re-validation after a reset.
+        """
         group_index, j = self.locate[name]
         group = self.groups[group_index]
         decode = np.fromiter(
@@ -364,13 +465,20 @@ class VectorKernel(FusedKernel):
     def advance_all_enforced(
         self, columns: List, batch: EncodedBatch
     ) -> Tuple[List, List[Tuple]]:
-        """The vectorized transactional screen-and-advance.
+        """Screen-and-advance one batch on *copies* of ``columns``.
 
-        Same contract as :meth:`FusedKernel.advance_all_enforced` (copies,
-        skip-and-continue semantics, ``(position, dense, code, states)``
-        rejection records in position order -- built lazily here, so
-        counting them is free), fused into the peel plan: each round gathers
-        the successors once, masks them through the group ``alive`` vectors,
+        The transactional half of ``feed_events(..., enforce=True)``: the
+        caller's columns are never touched, so a ``reject_batch`` policy can
+        discard the copies wholesale.  An event whose successor state is
+        doomed for any spec is *not* applied and is recorded as
+        ``(position, dense id, code, per-group pre-event state indices)``.
+        Later events of the same object screen against the state *without*
+        the rejected event -- exactly the ``reject_event`` skip-and-continue
+        semantics.  Returns ``(new columns, rejections)``; rejections are in
+        position order, built lazily, so counting them is free.
+
+        Screening is fused into the peel plan: each round gathers the
+        successors once, masks them through the group ``alive`` vectors,
         scatters them all and restores the refused few -- the all-admitted
         common case costs one extra 1-D flag gather per group over the
         plain feed, and a round with rejections costs O(#rejections) on
@@ -471,19 +579,49 @@ class VectorKernel(FusedKernel):
 
         return copies, _Rejections(count, build)
 
-    def fatal_histories(self, code_list, lengths) -> Dict[str, List[Optional[int]]]:
-        codes = np.asarray(code_list, dtype=np.int64)
-        lens = np.asarray(lengths, dtype=np.int64)
-        n = len(lens)
+    # ------------------------------------------------------------------ #
+    # Batch checking
+    # ------------------------------------------------------------------ #
+    def check_history_set(self, history_set: ColumnarHistorySet) -> Dict[str, List[bool]]:
+        """Per-spec verdicts for every history of an encoded history set."""
+        n = len(history_set)
+        obs = self.obs
+        if obs is not None:
+            obs.histories_total.inc(n)
         if n == 0:
             return {name: [] for name in self.names}
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        order = np.argsort(-lens, kind="stable")
-        starts = offsets[:-1][order]
-        max_length = int(lens[order[0]]) if n else 0
-        counts = np.bincount(lens, minlength=max_length + 1)
-        active = n - np.cumsum(counts)  # active[r] = #histories longer than r
+        codes = history_set.code_array
+        order, starts, active = _length_rounds(history_set)
+        if obs is not None:
+            obs.gather_rounds.inc(len(active) * len(self.groups))
+        verdicts: Dict[str, List[bool]] = {}
+        final = np.empty(n, dtype=np.int64)
+        for gi, group in enumerate(self.groups):
+            tab = self._table(gi)
+            table = tab.table
+            states = np.full(n, group.root[-1], dtype=table.dtype)
+            for r, a in enumerate(active):
+                states[:a] = table[states[:a], codes[starts[:a] + r]]
+            final[order] = states
+            for j, name in enumerate(group.names):
+                verdicts[name] = list(map(bool, tab.accepting[j][final].tolist()))
+        return verdicts
+
+    def fatal_histories(self, history_set: ColumnarHistorySet) -> Dict[str, List[Optional[int]]]:
+        """Per-spec first-fatal indices for every history of an encoded set.
+
+        The whole-history analogue of :func:`repro.engine.diagnostics.
+        replay`: for each history and spec, the index of the first event
+        after which acceptance became impossible -- ``None`` when the
+        history stays salvageable throughout, ``-1`` when the spec's
+        language is empty (doomed before any event).  This is the screening
+        primitive behind ``engine.screen_histories``.
+        """
+        n = len(history_set)
+        if n == 0:
+            return {name: [] for name in self.names}
+        codes = history_set.code_array
+        order, starts, active = _length_rounds(history_set)
         results: Dict[str, List[Optional[int]]] = {}
         for gi, group in enumerate(self.groups):
             tab = self._table(gi)
@@ -496,15 +634,12 @@ class VectorKernel(FusedKernel):
             for j in range(n_specs):
                 if tab.doomed[j][root]:
                     fatal[:, j] = -1
-            for r in range(max_length):
-                a = int(active[r])
-                if a == 0:  # pragma: no cover - max_length bounds the loop
-                    break
+            for r, a in enumerate(active):
                 states[:a] = table[states[:a], codes[starts[:a] + r]]
                 for j in range(n_specs):
                     newly = (fatal[:a, j] == -2) & (tab.doomed[j][states[:a]] != 0)
                     if newly.any():
-                        fatal[: a, j][newly] = r
+                        fatal[:a, j][newly] = r
             unsorted = np.empty_like(fatal)
             unsorted[order] = fatal
             for j, name in enumerate(group.names):
@@ -513,21 +648,100 @@ class VectorKernel(FusedKernel):
                 ]
         return results
 
-    def index_columns(self, columns: List) -> List[List[int]]:
-        return [column.tolist() for column in columns]
+    # ------------------------------------------------------------------ #
+    # State translation
+    # ------------------------------------------------------------------ #
+    def _columns_from_indices(self, index_columns: Sequence) -> List:
+        """State columns from per-group dense state indices.
 
-    def _columns_from_indices(self, index_columns: List[List[int]]) -> List:
-        # Sync first: translation/restore may have just materialized states
-        # the cached tables have not seen yet.
+        Every index must already be materialized in its group
+        (``ensure_state``); the tables are synced first, so the column dtype
+        covers states translation or restore has just added.
+        """
         return [
             np.asarray(indices, dtype=self._table(gi).table.dtype)
             for gi, indices in enumerate(index_columns)
         ]
 
+    def translate_columns(
+        self,
+        previous: "VectorKernel",
+        columns: List,
+        reset: Sequence[str] = (),
+    ) -> List:
+        """Carry per-object states from ``previous`` into this kernel.
+
+        Specs named in ``reset`` restart at their (new) initial state; every
+        other spec keeps its progress -- compiled tables are deterministic,
+        so state numbers transfer across recompiles and kernel rebuilds,
+        whatever the two kernels' grouping.  Memoized per distinct
+        cross-group state signature.
+        """
+        index_columns = [column.tolist() for column in columns]
+        n_objects = len(index_columns[0]) if index_columns else 0
+        resets = set(reset)
+        memo: Dict[Tuple[int, ...], List[int]] = {}
+        fresh: List[List[int]] = [[] for _ in self.groups]
+        initials = {
+            name: self.groups[gi].specs[j].initial for name, (gi, j) in self.locate.items()
+        }
+        for o in range(n_objects):
+            signature = tuple(column[o] for column in index_columns)
+            indices = memo.get(signature)
+            if indices is None:
+                states: Dict[str, int] = {}
+                for group, index in zip(previous.groups, signature):
+                    components = group.decode[index]
+                    for j, name in enumerate(group.names):
+                        states[name] = components[j]
+                for name in self.names:
+                    if name in resets or name not in states:
+                        states[name] = initials[name]
+                indices = [
+                    group.ensure_state(tuple(states[name] for name in group.names))
+                    for group in self.groups
+                ]
+                memo[signature] = indices
+            for target, index in zip(fresh, indices):
+                target.append(index)
+        return self._columns_from_indices(fresh)
+
+    def columns_from_states(self, states: Dict[str, Sequence[int]], n_objects: int) -> List:
+        """State columns rebuilt from *per-spec* DFA state columns.
+
+        The general restore path of :mod:`repro.engine.snapshot`: compiled
+        tables are deterministic, so per-spec state integers are stable
+        across processes and kernel rebuilds; each object's cross-spec
+        signature is materialized into this kernel's product states via
+        ``ensure_state`` (memoized per distinct signature, so the loop cost
+        is dominated by the zip, not the product walk).
+        """
+        index_columns: List[List[int]] = []
+        for group in self.groups:
+            group_states = [states[name] for name in group.names]
+            memo: Dict[Tuple[int, ...], int] = {}
+            indices: List[int] = []
+            append = indices.append
+            for signature in zip(*group_states):
+                index = memo.get(signature)
+                if index is None:
+                    index = memo[signature] = group.ensure_state(signature)
+                append(index)
+            if len(indices) != n_objects:  # zero-spec group cannot happen; guard anyway
+                indices.extend([group.root[-1]] * (n_objects - len(indices)))
+            index_columns.append(indices)
+        return self._columns_from_indices(index_columns)
+
     # ------------------------------------------------------------------ #
     # Snapshot payloads
     # ------------------------------------------------------------------ #
     def snapshot_groups(self, columns: List) -> List[Dict]:
+        """Compact per-group wire payloads for :mod:`repro.engine.snapshot`.
+
+        The *occupied* product states are listed once as per-spec component
+        tuples and the per-object column ships as narrow-dtype positions
+        into that list.
+        """
         groups: List[Dict] = []
         for group, column in zip(self.groups, columns):
             # np.unique without the sort: state indices are small, so the
@@ -536,61 +750,46 @@ class VectorKernel(FusedKernel):
             occupied = np.flatnonzero(np.bincount(column))
             position = np.zeros(occupied[-1] + 1 if occupied.size else 0, dtype=np.int64)
             position[occupied] = np.arange(occupied.size)
-            inverse = position[column]
             groups.append(
                 {
                     "names": group.names,
                     "states": [group.decode[index] for index in occupied.tolist()],
-                    "column": pack_index_array(inverse),
+                    "column": _pack_column(position[column]),
                 }
             )
         return groups
 
-    def _unpack_indices(self, lookup: List[int], packed: Tuple):
-        return np.asarray(lookup, dtype=np.int64)[_unpack_array(packed, limit=COLUMN_WIRE_LIMIT)]
+    def restore_group_columns(
+        self, groups: Sequence[Dict], initials: Dict[str, int], resets: set
+    ) -> Optional[List]:
+        """Columns rebuilt group-for-group when the snapshot grouping matches.
 
-    # ------------------------------------------------------------------ #
-    # Batch checking
-    # ------------------------------------------------------------------ #
-    def check_histories(self, code_list, lengths) -> Dict[str, List[bool]]:
-        codes = np.asarray(code_list, dtype=np.int64)
-        lens = np.asarray(lengths, dtype=np.int64)
-        n = len(lens)
-        obs = self.obs
-        if obs is not None:
-            obs.histories_total.inc(n)
-        if n == 0:
-            return {name: [] for name in self.names}
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lens, out=offsets[1:])
-        order = np.argsort(-lens, kind="stable")
-        starts = offsets[:-1][order]
-        max_length = int(lens[order[0]])
-        if obs is not None:
-            obs.gather_rounds.inc(max_length * len(self.groups))
-        counts = np.bincount(lens, minlength=max_length + 1)
-        active = n - np.cumsum(counts)  # active[r] = #histories longer than r
-        verdicts: Dict[str, List[bool]] = {}
-        final = np.empty(n, dtype=np.int64)
-        for gi, group in enumerate(self.groups):
-            tab = self._table(gi)
-            table = tab.table
-            states = np.full(n, group.root[-1], dtype=table.dtype)
-            for r in range(max_length):
-                a = int(active[r])
-                if a == 0:  # pragma: no cover - max_length bounds the loop
-                    break
-                states[:a] = table[states[:a], codes[starts[:a] + r]]
-            final[order] = states
-            for j, name in enumerate(group.names):
-                accepting = tab.accepting[j]
-                verdicts[name] = list(map(bool, accepting[final].tolist()))
-        return verdicts
-
-    def check_history_set(self, history_set: ColumnarHistorySet) -> Dict[str, List[bool]]:
-        return self.check_histories(
-            _history_code_array(history_set), np.diff(_offset_array(history_set))
-        )
+        The common restore (same specs, same registration order, same
+        product packing): each *occupied* product state is re-materialized
+        exactly once and the per-object column is one gather through the
+        lookup.  Returns ``None`` when this kernel groups specs differently,
+        handing over to the general per-spec translation path
+        (:meth:`columns_from_states`).
+        """
+        if len(groups) != len(self.groups):
+            return None
+        for payload, group in zip(groups, self.groups):
+            if tuple(payload["names"]) != group.names:
+                return None
+        index_columns = []
+        for payload, group in zip(groups, self.groups):
+            states = payload["states"]
+            if resets.intersection(group.names):
+                states = [
+                    tuple(
+                        initials[name] if name in resets else component
+                        for name, component in zip(group.names, signature)
+                    )
+                    for signature in states
+                ]
+            lookup = [group.ensure_state(tuple(signature)) for signature in states]
+            index_columns.append(_unpack_ints(payload["column"], COLUMN_WIRE_LIMIT, through=lookup))
+        return self._columns_from_indices(index_columns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = "+".join(str(len(group)) for group in self.groups)
@@ -695,9 +894,7 @@ def _scaled_codes(batch: EncodedBatch, n_states: int) -> List:
 
 
 __all__ = [
-    "HAVE_NUMPY",
     "PEEL_CHUNK",
     "PEEL_DEPTH_LIMIT",
     "VectorKernel",
-    "pack_index_array",
 ]

@@ -22,8 +22,8 @@ class EngineInstruments:
     """Every instrument the engine layers touch, resolved once.
 
     ``kind``-labelled kernel instruments are resolved lazily per kernel kind
-    (:meth:`kernel`): an engine usually runs one kind, and the fused/vector
-    split must stay visible in the exposition.
+    (:meth:`kernel`), so the kernel implementation stays visible in the
+    exposition.
     """
 
     __slots__ = (

@@ -360,7 +360,7 @@ def immigration_event_stream(
 
 
 # --------------------------------------------------------------------------- #
-# Columnar generators for the fused engine (E23)
+# Columnar generators for the multi-spec engine (E23)
 # --------------------------------------------------------------------------- #
 def compiled_walk_histories(
     spec,
@@ -454,7 +454,7 @@ def encoded_event_stream(
 def banking_monitoring_suite() -> Dict[str, object]:
     """Six simultaneous account constraints over the banking role sets.
 
-    A realistic multi-spec monitoring workload for the fused kernel
+    A realistic multi-spec monitoring workload for the kernel
     benchmarks: the two paper-derived inventories plus four operational
     policies, all over the same alphabet.
     """

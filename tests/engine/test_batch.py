@@ -6,12 +6,13 @@ events (and bumps ``events_seen``) with zero registered specs, and
 ``advance`` per event.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
-    HAVE_NUMPY,
+    PRODUCT_STATE_CAP,
     ColumnarHistorySet,
     EnforcementError,
     EncodedBatch,
@@ -22,11 +23,6 @@ from repro.engine import (
 )
 from repro.formal.alphabet import RoleSetAlphabet
 from repro.workloads import banking, generators
-
-try:
-    import numpy as np
-except ImportError:  # the no-numpy CI leg
-    np = None
 
 
 class TestObjectInterner:
@@ -58,7 +54,6 @@ class TestObjectInterner:
         assert interner.intern(10) == 3  # a gap is just another fresh id
         assert interner.object(3) == 10
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="the slot table needs numpy")
     def test_int_columns_take_the_slot_table_and_the_dict_fallback_is_sticky(self):
         interner = ObjectInterner()
         codes = interner.encode_column([60_000, 5, 60_000])
@@ -73,7 +68,6 @@ class TestObjectInterner:
         assert interner.intern_column([6, 5]) == [4, 1]
         assert interner._slots is None
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="the slot table needs numpy")
     def test_the_slot_table_stays_within_its_bound(self):
         from repro.engine.batch import _SLOT_FACTOR, _SLOT_FLOOR
 
@@ -86,18 +80,6 @@ class TestObjectInterner:
         assert interner.intern_column([high] * 20) == [1000] * 20
         assert interner._slots is None
         assert interner.code_of(high) == 1000 and interner.code_of(999) == 999
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="writing a slot-table snapshot needs numpy")
-    def test_slot_snapshots_restore_on_hosts_without_numpy(self, monkeypatch):
-        interner = ObjectInterner()
-        interner.intern_column([70, 3, 60_000, 3])
-        payload = interner.to_snapshot()
-        assert payload[0] == "ids"
-        monkeypatch.setattr("repro.engine.batch._np", None)
-        restored = ObjectInterner.from_snapshot(payload)
-        assert restored._slots is None
-        assert [restored.object(code) for code in range(3)] == [70, 3, 60_000]
-        assert restored.intern_column([60_000, 8]) == [2, 3]
 
     def test_code_of_returns_the_default_for_unseen_in_range_ids(self):
         interner = ObjectInterner()
@@ -174,7 +156,6 @@ class TestEncodedBatch:
             banking.ROLE_REGULAR,
             banking.ROLE_INTEREST,
         ]
-        assert batch.ids.typecode == batch.codes.typecode == "q"
         assert batch.max_id == 1
 
     def test_alphabet_is_append_only_across_batches(self):
@@ -187,7 +168,7 @@ class TestEncodedBatch:
         assert alphabet.encode(banking.ROLE_INTEREST) == first.code_list[0]
 
 
-def _layout_run(kind, layout, policy, directory):
+def _layout_run(product_cap, layout, policy, directory):
     """Feed one event stream through a recording durable stream, every batch
     built in ``layout``; returns everything observable about the session."""
     _histories, events, suite = generators.conforming_banking_stream(
@@ -199,7 +180,7 @@ def _layout_run(kind, layout, policy, directory):
         events.insert(position, (position % 24, alien))
 
     def new_engine():
-        engine = HistoryCheckerEngine(kernel=kind)
+        engine = HistoryCheckerEngine(product_cap=product_cap)
         for name, spec in suite.items():
             engine.add_spec(name, spec)
         return engine
@@ -253,12 +234,16 @@ def _layout_run(kind, layout, policy, directory):
     return observed
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="ndarray-built batches need numpy")
-@pytest.mark.parametrize("kind", ["fused", "vector"])
+#: The default product cap (one group for the banking suite) and one that
+#: splits the suite into several groups.
+GROUPINGS = {"vector": PRODUCT_STATE_CAP, "vector-split": 8}
+
+
+@pytest.mark.parametrize("grouping", GROUPINGS)
 @pytest.mark.parametrize("policy", ["reject_event", "reject_batch"])
-def test_ndarray_and_list_batches_are_interchangeable(kind, policy, tmp_path):
+def test_ndarray_and_list_batches_are_interchangeable(grouping, policy, tmp_path):
     runs = {
-        layout: _layout_run(kind, layout, policy, tmp_path / layout)
+        layout: _layout_run(GROUPINGS[grouping], layout, policy, tmp_path / layout)
         for layout in ("array", "list", "encoded")
     }
     assert runs["array"]["rejected"]  # the alien events were screened out
@@ -271,7 +256,7 @@ class TestColumnarHistorySet:
         histories, _events = generators.banking_event_stream(seed=5, objects=40, mean_length=5)
         history_set = ColumnarHistorySet.from_histories(histories, alphabet)
         assert len(history_set) == len(histories)
-        assert history_set.lengths() == [len(history) for history in histories]
+        assert np.diff(history_set.offset_array).tolist() == [len(h) for h in histories]
         start, stop = history_set.offsets[3], history_set.offsets[4]
         assert [alphabet.symbol(code) for code in history_set.code_list[start:stop]] == list(
             histories[3]

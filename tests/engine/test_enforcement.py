@@ -31,7 +31,7 @@ from collections import deque
 import pytest
 
 from repro.engine import (
-    HAVE_NUMPY,
+    PRODUCT_STATE_CAP,
     EnforcementError,
     EnforcementReport,
     HistoryCheckerEngine,
@@ -41,17 +41,20 @@ from repro.workloads import banking, generators
 from repro.workloads.generators import conforming_banking_stream
 
 WORKLOADS = ("banking", "university", "immigration", "phd", "three_class")
-KINDS = ("fused", "vector") if HAVE_NUMPY else ("fused",)
+#: Product caps the gate tests run under: the default, which fuses the
+#: banking suite into one group, and a cap small enough to split it into
+#: several groups (the kernel's multi-group screening path).
+GROUPINGS = {"vector": PRODUCT_STATE_CAP, "vector-split": 8}
 
 ALIEN = banking.RoleSet({"ALIEN_CLASS"})
 
 
-def _suite_engine(kind="fused", seed=101, objects=30, mean_length=12, **kwargs):
+def _suite_engine(grouping="vector", seed=101, objects=30, mean_length=12, **kwargs):
     """A banking-suite engine plus mostly-conforming interleaved events."""
     histories, events, suite = conforming_banking_stream(
         seed=seed, objects=objects, mean_length=mean_length
     )
-    engine = HistoryCheckerEngine(kernel=kind, **kwargs)
+    engine = HistoryCheckerEngine(product_cap=GROUPINGS[grouping], **kwargs)
     for name, spec in suite.items():
         engine.add_spec(name, spec)
     return engine, histories, events, tuple(sorted(suite))
@@ -121,9 +124,9 @@ def test_engine_admissible_is_an_initial_state_mask_lookup():
             assert engine.admissible(name, symbol, state=spec.initial) == oracle
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_stream_admissible_matches_replay_on_live_objects(kind):
-    engine, histories, events, names = _suite_engine(kind)
+@pytest.mark.parametrize("grouping", GROUPINGS)
+def test_stream_admissible_matches_replay_on_live_objects(grouping):
+    engine, histories, events, names = _suite_engine(grouping)
     stream = engine.open_stream(record=True)
     stream.feed_events(events)
     symbols = sorted(
@@ -137,14 +140,14 @@ def test_stream_admissible_matches_replay_on_live_objects(kind):
                 continue  # doomed objects collapse onto the sink; mask row is all-zero
             for symbol in symbols:
                 oracle = replay(spec, history + (symbol,))[1] is None
-                assert stream.admissible(index, symbol, name=name) == oracle, (kind, name)
+                assert stream.admissible(index, symbol, name=name) == oracle, (grouping, name)
         if all(replay(engine.compiled(name), history)[1] is None for name in names):
             for symbol in symbols:
                 oracle = all(
                     replay(engine.compiled(name), history + (symbol,))[1] is None
                     for name in names
                 )
-                assert stream.admissible(index, symbol) == oracle, (kind, index, symbol)
+                assert stream.admissible(index, symbol) == oracle, (grouping, index, symbol)
     # Unknown objects are judged from the initial state; alien symbols never admit.
     assert not stream.admissible("never-seen", ALIEN)
 
@@ -152,9 +155,9 @@ def test_stream_admissible_matches_replay_on_live_objects(kind):
 # --------------------------------------------------------------------------- #
 # The enforce=True gate
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("kind", KINDS)
-def test_reject_event_skips_and_continues(kind):
-    engine, histories, events, names = _suite_engine(kind, seed=7)
+@pytest.mark.parametrize("grouping", GROUPINGS)
+def test_reject_event_skips_and_continues(grouping):
+    engine, histories, events, names = _suite_engine(grouping, seed=7)
     oracle = engine.screen_histories(histories)
     fatal_total = sum(
         1
@@ -180,12 +183,12 @@ def test_reject_event_skips_and_continues(kind):
     # The invariant the gate exists for: nothing in the session is doomed.
     for name in names:
         for object_id in stream.objects(name):
-            assert not stream.doomed(name, object_id), (kind, name, object_id)
+            assert not stream.doomed(name, object_id), (grouping, name, object_id)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_reject_batch_rolls_back_untouched(kind):
-    engine, histories, events, names = _suite_engine(kind, seed=7)
+@pytest.mark.parametrize("grouping", GROUPINGS)
+def test_reject_batch_rolls_back_untouched(grouping):
+    engine, histories, events, names = _suite_engine(grouping, seed=7)
     half = len(events) // 2
     stream = engine.open_stream(record=True)
     clean_report = stream.feed_events(events[:half], enforce=True)
@@ -261,15 +264,15 @@ def test_non_recording_rejections_answer_violation_none():
 # --------------------------------------------------------------------------- #
 # screen_histories -- the batch analogue
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("kind", KINDS)
-def test_screen_histories_matches_replay_oracle(kind):
-    engine, histories, _, names = _suite_engine(kind, seed=11)
+@pytest.mark.parametrize("grouping", GROUPINGS)
+def test_screen_histories_matches_replay_oracle(grouping):
+    engine, histories, _, names = _suite_engine(grouping, seed=11)
     screened = engine.screen_histories(histories)
     assert sorted(screened) == sorted(names)
     for name in names:
         spec = engine.compiled(name)
         expected = [replay(spec, history)[1] for history in histories]
-        assert screened[name] == expected, (kind, name)
+        assert screened[name] == expected, (grouping, name)
 
 
 # --------------------------------------------------------------------------- #
@@ -288,7 +291,7 @@ def test_durable_enforced_feed_journals_admitted_only(tmp_path):
     live = durable.all_verdicts()
     durable.close()
 
-    fresh = HistoryCheckerEngine(kernel="fused")
+    fresh = HistoryCheckerEngine()
     for name, spec in generators.banking_monitoring_suite().items():
         fresh.add_spec(name, spec)
     recovered = fresh.recover_stream(tmp_path)
@@ -314,7 +317,7 @@ def test_durable_reject_batch_leaves_wal_untouched(tmp_path):
     assert durable.events_seen == seen == int(first)
     live = durable.all_verdicts()
     durable.close()
-    fresh = HistoryCheckerEngine(kernel="fused")
+    fresh = HistoryCheckerEngine()
     for name, spec in generators.banking_monitoring_suite().items():
         fresh.add_spec(name, spec)
     recovered = fresh.recover_stream(tmp_path)
@@ -413,9 +416,9 @@ def test_restore_after_changed_text_reregistration_resets_that_spec():
 # --------------------------------------------------------------------------- #
 # Delta-driven re-checking on re-registration
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("kind", KINDS)
-def test_last_revalidation_reports_only_moved_objects(kind):
-    engine, histories, events, names = _suite_engine(kind, seed=17)
+@pytest.mark.parametrize("grouping", GROUPINGS)
+def test_last_revalidation_reports_only_moved_objects(grouping):
+    engine, histories, events, names = _suite_engine(grouping, seed=17)
     target = names[0]
     stream = engine.open_stream(record=True)
     stream.feed_events(events)
@@ -430,12 +433,12 @@ def test_last_revalidation_reports_only_moved_objects(kind):
     stream.feed_events(events[:1])  # resolves the new kernel
     report = stream.last_revalidation
     assert report is not None and report.specs == (target,)
-    assert set(report.changed[target]) == moved, kind
+    assert set(report.changed[target]) == moved, grouping
     assert report.replayed == len(moved)
     new_spec = engine.compiled(target)
     for index in moved:
         expected = new_spec.accepts(histories[index])
-        assert report.verdicts[target][index] == expected, (kind, index)
+        assert report.verdicts[target][index] == expected, (grouping, index)
 
 
 def test_revalidation_without_recording_skips_the_replays():

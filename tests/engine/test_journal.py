@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.core.rolesets import enumerate_role_sets
-from repro.engine import HistoryCheckerEngine, JournalError
+from repro.engine import CursorTable, HistoryCheckerEngine, JournalError, compile_spec
 from repro.engine.batch import EncodedBatch
 from repro.obs.metrics import MetricsRegistry
 from repro.testing.faults import (
@@ -44,7 +44,7 @@ def _case(seed, objects=8):
 
 
 def _engine(specs, **kwargs):
-    engine = HistoryCheckerEngine(kernel="fused", **kwargs)
+    engine = HistoryCheckerEngine(**kwargs)
     for name, nfa in specs.items():
         engine.add_spec(name, nfa)
     return engine
@@ -56,11 +56,15 @@ def _feed_batches(durable, events, size=5):
 
 
 def _oracle(specs, events, prefix=None):
-    """Verdicts of an uninterrupted single-process session over a prefix."""
-    engine = _engine(specs)
-    stream = engine.open_stream()
-    stream.feed_events(events if prefix is None else events[:prefix])
-    return stream.all_verdicts()
+    """Verdicts of an uninterrupted per-spec cursor sweep over a prefix."""
+    fed = events if prefix is None else events[:prefix]
+    verdicts = {}
+    for name, nfa in specs.items():
+        spec = compile_spec(nfa)
+        table = CursorTable()
+        table.advance_events(spec, fed)
+        verdicts[name] = table.verdicts(spec)
+    return verdicts
 
 
 def _files(directory, suffix):

@@ -1,10 +1,12 @@
-"""Id-space payloads written by builds that had a dense interner mode.
+"""Payloads written by earlier builds: dense id spaces, list-packed columns.
 
-Those builds serialized an identity id space (ids ``0..n-1`` that were their
-own codes) as ``("dense", n)`` -- in snapshots and in every WAL record's
-object tail.  The payloads here are hand-built from current ones: the
-object list is checked to be the identity and replaced by its count, then
-the snapshot or journal record is re-framed with a fresh checksum.
+Builds that had a dense interner mode serialized an identity id space (ids
+``0..n-1`` that were their own codes) as ``("dense", n)`` -- in snapshots
+and in every WAL record's object tail.  Builds with a pure-Python kernel
+packed snapshot state and trace columns from Python lists: the narrowest
+``array`` typecode, zlib level 1 when that was smaller.  The payloads here
+are hand-built from current ones, then the snapshot or journal record is
+re-framed with a fresh checksum.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import os
 import pickle
 import zlib
+from array import array
 
 import pytest
 
@@ -93,6 +96,80 @@ def _rewrite_journal(directory, rewrite_objects):
             data = b"".join(out)
         with open(path, "wb") as handle:
             handle.write(data)
+
+
+#: The list-column packer's typecode ladder, narrowest first.
+_LIST_TYPECODES = (("B", 0xFF), ("H", 0xFFFF), ("I", 0xFFFFFFFF), ("q", (1 << 63) - 1))
+
+
+def _list_packed(values, flag):
+    """``values`` packed as the list-column writer did: the narrowest
+    ``array`` typecode, raw (flag 0) or zlib level 1 (flag 1)."""
+    high = max(values, default=0)
+    typecode = next(code for code, top in _LIST_TYPECODES if high <= top)
+    raw = array(typecode, values).tobytes()
+    return (typecode, 1, zlib.compress(raw, 1)) if flag else (typecode, 0, raw)
+
+
+def _list_unpacked(packed):
+    typecode, flag, data = packed
+    column = array(typecode)
+    column.frombytes(zlib.decompress(data) if flag else data)
+    return column.tolist()
+
+
+def _list_written(values):
+    """The list-column writer's choice: compressed only when smaller."""
+    raw, compressed = _list_packed(values, 0), _list_packed(values, 1)
+    return compressed if len(compressed[2]) < len(raw[2]) else raw
+
+
+def _packed_columns(body):
+    """Every packed state and trace column of a snapshot body, as
+    ``(container, key)`` slots."""
+    slots = [(group, "column") for group in body["groups"]]
+    traces = body["traces"]
+    slots += [(traces, "lengths"), (traces, "codes")]
+    slots += [(traces["marks"], name) for name in traces["marks"]]
+    return slots
+
+
+def test_list_packed_snapshot_columns_restore_to_the_same_verdicts():
+    """Group and trace columns in the list writer's layout -- raw and
+    zlib-compressed -- restore to the same verdicts and ``explain`` reports,
+    and the current writer emits exactly the bytes the list writer did."""
+    _histories, events, suite = generators.conforming_banking_stream(
+        seed=3, objects=40, mean_length=10, noise=0.2
+    )
+    # One object with a 300-event trace widens the trace-length column to "H".
+    events = [("long", events[0][1])] * 300 + list(events)
+    half = len(events) // 2
+    engine = _engine(suite)
+    live = engine.open_stream(record=True)
+    live.feed_events(events[: half // 2])
+    reset = next(iter(suite))
+    engine.add_spec(reset, suite[reset])  # a reset: the snapshot carries trace marks
+    live.feed_events(events[half // 2 : half])
+    blob = live.snapshot()
+    body = _snapshot_body(blob)
+    slots = _packed_columns(body)
+    assert len(body["groups"]) == 1 and list(body["traces"]["marks"]) == [reset]
+    assert {container[key][0] for container, key in slots} == {"B", "H"}
+    for container, key in slots:
+        assert container[key] == _list_written(_list_unpacked(container[key])), key
+    live.feed_events(events[half:])
+    failing = {name: live.explain_all(name) for name in suite}
+    assert any(failing.values())
+    for flag in (0, 1):
+        legacy = _snapshot_body(blob)
+        for container, key in _packed_columns(legacy):
+            container[key] = _list_packed(_list_unpacked(container[key]), flag)
+        restored = _engine(suite).restore_stream(_frame_snapshot(legacy))
+        assert restored.reset_on_restore == ()
+        restored.feed_events(events[half:])
+        assert restored.all_verdicts() == live.all_verdicts(), flag
+        for name in suite:
+            assert restored.explain_all(name) == failing[name], (flag, name)
 
 
 def test_legacy_dense_snapshot_restores_and_keeps_streaming():

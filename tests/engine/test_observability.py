@@ -106,11 +106,10 @@ class TestEngineCounters:
         stream = engine.open_stream(["checking"])
         stream.feed_events([(0, banking.ROLE_SETS[0]), (1, banking.ROLE_SETS[0])])
         engine.check_batch_all(random_banking_words(seed=9, count=20), ["checking"])
-        kind = engine._kernel_kind()
         data = registry.to_dict()
-        assert data[f'repro_kernel_events_total{{kind="{kind}"}}'] == 2
-        assert data[f'repro_kernel_batches_total{{kind="{kind}"}}'] == 1
-        assert data[f'repro_kernel_histories_total{{kind="{kind}"}}'] == 20
+        assert data['repro_kernel_events_total{kind="vector"}'] == 2
+        assert data['repro_kernel_batches_total{kind="vector"}'] == 1
+        assert data['repro_kernel_histories_total{kind="vector"}'] == 20
 
     def test_spec_cache_counters_are_mirrored(self, checking):
         engine, registry = instrumented_engine(checking, cache_size=1)
@@ -146,7 +145,7 @@ class TestEngineCounters:
         stats = engine.stats()
         assert stats["specs"] == 1
         assert stats["observability"] is True
-        assert stats["kernel"] in ("fused", "vector")
+        assert stats["kernel"] == "vector"
         assert "repro_engine_events_total" in stats["metrics"]
         assert stats["metrics"]["repro_engine_specs"] == 1
 

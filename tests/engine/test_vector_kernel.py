@@ -1,33 +1,26 @@
-"""The numpy vector kernel: dtype edges, skew fallback, snapshot packing.
+"""The vector kernel: dtype edges, alphabet growth, the skew fallback.
 
-The differential fuzz suite pins the vector kernel against the other five
-implementations on random cases; this file drives the corners those cases
+The differential fuzz suite pins the kernel against the cursor paths and
+the DFA oracle on random cases; this file drives the corners those cases
 cannot reach deliberately -- state counts sitting exactly on the
 uint8/uint16/uint32 dtype boundaries (hand-built counter automata, since no
-random regex minimizes to exactly 256 states), batches skewed enough to
-trip the scalar peel fallback, the no-numpy degradation contract, and the
-packed snapshot columns built straight from ndarrays.
+random regex minimizes to exactly 256 states), symbols first seen
+mid-stream, and batches skewed enough to trip the scalar peel fallback.
+Streamed verdicts are checked against a per-spec :class:`CursorTable`
+sweep over the same events.
 """
 
 from __future__ import annotations
 
 from array import array
 
+import numpy as np
 import pytest
 
-from repro.engine import HistoryCheckerEngine
+from repro.engine import ColumnarHistorySet, CursorTable, HistoryCheckerEngine, compile_spec
 from repro.engine.compiler import CompiledSpec
+from repro.engine.vector import PEEL_CHUNK, PEEL_DEPTH_LIMIT, VectorKernel, _dtype_for
 from repro.workloads import generators
-
-np = pytest.importorskip("numpy")
-
-from repro.engine.vector import (  # noqa: E402  (import order: numpy skip first)
-    PEEL_CHUNK,
-    PEEL_DEPTH_LIMIT,
-    VectorKernel,
-    _dtype_for,
-    pack_index_array,
-)
 
 
 def counter_spec(n_states: int, n_symbols: int = 2) -> CompiledSpec:
@@ -53,6 +46,25 @@ def counter_spec(n_states: int, n_symbols: int = 2) -> CompiledSpec:
     return spec
 
 
+def history_set(histories) -> ColumnarHistorySet:
+    """A hand-built history set over already-encoded code histories."""
+    offsets = array("q", [0])
+    for codes in histories:
+        offsets.append(offsets[-1] + len(codes))
+    return ColumnarHistorySet([code for codes in histories for code in codes], offsets)
+
+
+def cursor_verdicts(specs, events):
+    """Per-spec verdicts of an independent :class:`CursorTable` sweep."""
+    verdicts = {}
+    for name, nfa in specs.items():
+        spec = compile_spec(nfa)
+        table = CursorTable()
+        table.advance_events(spec, events)
+        verdicts[name] = table.verdicts(spec)
+    return verdicts
+
+
 def test_dtype_ladder_edges():
     assert _dtype_for(255) is np.uint8
     assert _dtype_for(256) is np.uint8
@@ -71,15 +83,13 @@ def test_dtype_boundary_counts_agree_with_the_spec(n_states):
     # Histories probing the wrap boundary: n-1, n, and n+1 increments (the
     # last two alias under a too-narrow dtype), plus holds mixed in.
     lengths = [n_states - 1, n_states, n_states + 1, 3]
-    code_list: list = []
     histories = []
     for length in lengths:
         codes = [0] * length
         if length >= 3:
             codes[1] = 1  # one hold: only length-1 increments
         histories.append(codes)
-        code_list.extend(codes)
-    verdicts = kernel.check_histories(code_list, [len(h) for h in histories])
+    verdicts = kernel.check_history_set(history_set(histories))
     expected = []
     for codes in histories:
         state = 0
@@ -95,16 +105,6 @@ def test_dtype_upcast_on_streamed_columns():
     kernel = VectorKernel([("count", spec)], width=2)
     columns = kernel.new_columns(4)
     assert columns[0].dtype == np.uint16
-
-
-def _engine_pair(specs):
-    engines = []
-    for kind in ("fused", "vector"):
-        engine = HistoryCheckerEngine(kernel=kind)
-        for name, nfa in specs.items():
-            engine.add_spec(name, nfa)
-        engines.append(engine)
-    return engines
 
 
 def test_alphabet_growth_re_extends_remap_columns():
@@ -123,84 +123,79 @@ def test_alphabet_growth_re_extends_remap_columns():
         next(generators.spec_walk_histories(specs["spec"], objects=1, mean_length=5, rng=rng))
         for _ in range(6)
     ]
-    fused, vec = _engine_pair(specs)
-    streams = [engine.open_stream() for engine in (fused, vec)]
+    engine = HistoryCheckerEngine()
+    engine.add_spec("spec", specs["spec"])
+    stream = engine.open_stream()
     events_a = generators.event_stream(histories[:3], 11)
-    for stream in streams:
-        stream.feed_events(events_a)
-    # Aliens unseen at kernel-build time force alphabet growth (and, for the
-    # vector kernel, a table rebuild over the extended remap columns).
+    stream.feed_events(events_a)
+    kernel = stream._kernel
+    # Aliens unseen at kernel-build time force alphabet growth and a table
+    # rebuild over the extended remap columns.
     aliens = (RoleSet({"ALIEN"}), RoleSet({"ALIEN", "X"}))
     alien_histories = [history + aliens for history in histories[3:]]
     events_b = generators.event_stream(alien_histories, 13)
-    for stream in streams:
-        stream.feed_events(events_b)
-    assert streams[0].all_verdicts() == streams[1].all_verdicts()
+    stream.feed_events(events_b)
+    assert stream._kernel is not kernel and stream._kernel.width > kernel.width
+    assert stream.all_verdicts() == cursor_verdicts(specs, events_a + events_b)
 
 
 def test_empty_and_single_object_columns():
     spec = counter_spec(5)
     kernel = VectorKernel([("count", spec)], width=2)
-    assert kernel.check_histories([], []) == {"count": []}
+    assert kernel.check_history_set(history_set([])) == {"count": []}
     columns = kernel.new_columns(0)
     assert len(columns[0]) == 0
     assert kernel.verdicts_of("count", columns, range(0)) == []
     # A single object wraps the counter exactly once.
-    assert kernel.check_histories([0] * 5, [5]) == {"count": [True]}
+    assert kernel.check_history_set(history_set([[0] * 5])) == {"count": [True]}
     kernel.grow_columns(columns, 1)
     assert columns[0].tolist() == [0]
 
 
 def test_skewed_batch_takes_the_scalar_fallback():
     """One object flooding a chunk past PEEL_DEPTH_LIMIT falls back to the
-    scalar tail -- and still matches the fused kernel event for event."""
-    n = 7
-    spec = counter_spec(n)
-    engines = []
-    for kind in ("fused", "vector"):
-        engine = HistoryCheckerEngine(kernel=kind)
-        engine.add_spec("count", _counter_nfa(n))
-        engines.append(engine)
+    scalar tail -- and still matches a cursor sweep event for event."""
+    specs = {"count": _counter_nfa(7)}
+    engine = HistoryCheckerEngine()
+    engine.add_spec("count", specs["count"])
     flood = [("hog", "s0")] * (PEEL_DEPTH_LIMIT * 3)
     trickle = [(f"o{i}", "s0") for i in range(5)]
     events = flood[: PEEL_DEPTH_LIMIT * 2] + trickle + flood[PEEL_DEPTH_LIMIT * 2 :]
     assert len(events) < PEEL_CHUNK  # a single chunk, so the skew cannot dilute
-    verdicts = []
-    for engine in engines:
-        stream = engine.open_stream()
-        stream.feed_events(events)
-        verdicts.append(stream.all_verdicts())
-    assert verdicts[0] == verdicts[1]
-    # The plan the vector engine cached on the batch must contain a scalar
-    # tail entry: the flood exceeds the peel depth inside its chunk.
-    vec_stream = engines[1].open_stream()
-    batch = engines[1].encode_events(events)
-    vec_stream.feed_events(batch)
+    stream = engine.open_stream()
+    batch = engine.encode_events(events, stream.object_interner)
+    stream.feed_events(batch)
+    # The plan cached on the batch must contain a scalar tail entry: the
+    # flood exceeds the peel depth inside its chunk.
     assert batch._np_plan is not None
     assert any(not entry[0] for entry in batch._np_plan[1])
-    assert vec_stream.all_verdicts() == verdicts[0]
+    assert stream.all_verdicts() == cursor_verdicts(specs, events)
 
 
 def test_skewed_enforced_batch_reports_rejections_in_position_order():
     """Refusals from peel rounds and from the scalar skew tail of one chunk
-    merge into one position-ordered report, event for event the fused one."""
+    merge into one position-ordered report: exactly the refused events."""
     flood = [("hog", "zz" if i % 7 == 3 else "s0") for i in range(PEEL_DEPTH_LIMIT * 3)]
     trickle = [(f"o{i}", "zz" if i % 2 else "s1") for i in range(6)]
-    # "zz" is in no spec, so it is always refused; "late" is peeled in the
-    # first round but sits after the hog's scalar tail.
+    # "zz" is in no spec, so it is always refused, and the counter has no
+    # doomed live state, so nothing else is; "late" is peeled in the first
+    # round but sits after the hog's scalar tail.
     events = flood[:10] + trickle + flood[10:] + [("late", "zz")]
-    outcomes = []
-    for kind in ("fused", "vector"):
-        engine = HistoryCheckerEngine(kernel=kind)
-        engine.add_spec("count", _counter_nfa(7))
-        stream = engine.open_stream()
-        report = stream.feed_events(events, enforce=True)
-        rejected = [(r.index, r.object_id, r.symbol) for r in report.rejected]
-        outcomes.append((rejected, int(report), stream.all_verdicts()))
-    assert outcomes[0] == outcomes[1]
-    positions = [index for index, _object_id, _symbol in outcomes[1][0]]
-    assert positions == sorted(positions)
-    assert len(positions) == sum(symbol == "zz" for _object_id, symbol in events)
+    specs = {"count": _counter_nfa(7)}
+    engine = HistoryCheckerEngine()
+    engine.add_spec("count", specs["count"])
+    stream = engine.open_stream()
+    report = stream.feed_events(events, enforce=True)
+    refused = [(p, event) for p, event in enumerate(events) if event[1] == "zz"]
+    assert [(r.index, (r.object_id, r.symbol)) for r in report.rejected] == refused
+    admitted = [event for event in events if event[1] != "zz"]
+    assert int(report) == len(admitted)
+    expected = cursor_verdicts(specs, admitted)["count"]
+    for object_id, _symbol in events:
+        # Objects whose every event was refused were still observed; they
+        # rest at the counter's initial state, which accepts.
+        expected.setdefault(object_id, True)
+    assert stream.all_verdicts() == {"count": expected}
 
 
 def _counter_nfa(n_states: int):
@@ -218,32 +213,6 @@ def _counter_nfa(n_states: int):
         initial_states={0},
         accepting_states={0},
     )
-
-
-def test_no_numpy_auto_falls_back_and_vector_raises(monkeypatch):
-    monkeypatch.setattr("repro.engine.vector.HAVE_NUMPY", False)
-    engine = HistoryCheckerEngine(kernel="auto")
-    assert engine._kernel_kind() == "fused"
-    with pytest.raises(RuntimeError, match="repro\\[fast\\]"):
-        HistoryCheckerEngine(kernel="vector")
-    spec = counter_spec(3)
-    with pytest.raises(RuntimeError, match="numpy"):
-        VectorKernel([("count", spec)], width=2)
-
-
-def test_engine_rejects_unknown_kernel_kind():
-    with pytest.raises(ValueError, match="kernel"):
-        HistoryCheckerEngine(kernel="simd")
-
-
-def test_pack_index_array_matches_list_packing():
-    from repro.engine.batch import _pack_column, _unpack_column
-
-    for values in ([], [0], [3, 1, 2] * 50, list(range(300)), [70000, 2, 70000]):
-        arr = np.asarray(values, dtype=np.int64)
-        packed = pack_index_array(arr)
-        assert _unpack_column(packed) == values
-        assert packed[0] == _pack_column(values)[0]  # same narrowing ladder
 
 
 if __name__ == "__main__":

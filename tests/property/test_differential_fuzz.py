@@ -1,40 +1,38 @@
 """Cross-layer differential fuzzing: every execution path must agree.
 
-The engine now has six ways to answer "does this history satisfy this
-spec" -- the fused product kernel (``check_batch`` / ``check_batch_all``),
-the per-spec cursor paths (``HistoryCursor`` / ``CursorTable``), the
-streaming session (``StreamChecker``), the one-shot subset-construction
-oracle (``DFA.accepts``), a snapshot→restore round trip of the streaming
-session, and, since this PR, the numpy :class:`~repro.engine.vector.
-VectorKernel` (batch and streaming).  Each is implemented independently enough to disagree in
-interesting ways, so this suite drives all of them with seeded random
-specs (random schemas → random role-set regexes) over seeded random
-streams (spec walks, uniform noise, alien symbols) and asserts
+The engine has several ways to answer "does this history satisfy this
+spec" -- the multi-spec product kernel (``check_batch`` /
+``check_batch_all``), the per-spec cursor paths (``HistoryCursor`` /
+``CursorTable``), the streaming session (``StreamChecker``), the one-shot
+subset-construction oracle (``DFA.accepts``) and a snapshot→restore round
+trip of the streaming session.  Each is implemented independently enough
+to disagree in interesting ways, so this suite drives all of them with
+seeded random specs (random schemas → random role-set regexes) over seeded
+random streams (spec walks, uniform noise, alien symbols) and asserts
 **bit-identical verdicts** on every object:
 
 * 200 seeded cases per tier-1 run (``--fuzz-rounds`` multiplies the count;
-  the nightly CI job runs 10x), each case covering serial batch, fused
-  batch, cursors, DFA oracle, streaming, mid-stream snapshot/restore into
-  the same engine, and restore into a *fresh* engine (the process-restart
-  simulation, exercising fingerprint validation and alphabet re-encoding);
-* when numpy is importable, the vector kernel over the same case: batch
-  verdicts, a vector stream snapshotted mid-run and restored under *both*
-  kernel kinds (the wire payload is kind-portable), a fused snapshot
-  restored under the vector kernel, and a mid-stream re-registration that
-  translates live vector state columns through the new kernel;
+  the nightly CI job runs 10x), each case covering multi-spec batch,
+  per-spec batch, cursors, DFA oracle, streaming, mid-stream
+  snapshot/restore into the same engine, and restore into a *fresh* engine
+  (the process-restart simulation, exercising fingerprint validation and
+  alphabet re-encoding);
+* a second product grouping over the same case (one spec per kernel
+  group): batch verdicts, snapshots restored across the two groupings in
+  both directions (the per-spec state translation path), and a mid-stream
+  re-registration that translates live state columns through the rebuilt
+  kernel;
 * LRU eviction pressure mid-stream (single-entry caches on a rotating
   subset of cases);
-* the ``enforce=True`` admissibility gate (both kernel kinds) against an
+* the ``enforce=True`` admissibility gate (both groupings) against an
   independent DFA-walk oracle with its own backward-reachability doomed
   set: the gate's rejected event indices must equal the oracle's fatal
   indices exactly, an enforced stream must never hold a doomed object, and
   ``reject_batch`` must raise on the oracle's *first* fatal index leaving
   the session untouched.
 
-The fused paths are pinned with ``kernel="fused"`` so they stay exercised
-even though ``kernel="auto"`` now prefers the vector kernel.  A failure
-message always carries the case seed, so any disagreement is reproducible
-with one parametrized rerun.
+A failure message always carries the case seed, so any disagreement is
+reproducible with one parametrized rerun.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ import pytest
 
 from repro.core.rolesets import RoleSet, enumerate_role_sets
 from repro.engine import (
-    HAVE_NUMPY,
+    PRODUCT_STATE_CAP,
     EnforcementError,
     HistoryCheckerEngine,
     HistoryCursor,
@@ -54,6 +52,10 @@ from repro.workloads import generators
 
 BASE_SEED = 0x5EED
 BASE_CASES = 200
+
+#: A product cap no two-spec product fits under: every spec gets a kernel
+#: group of its own.
+SPLIT_CAP = 1
 
 ALIEN = RoleSet({"ALIEN_CLASS"})
 
@@ -151,9 +153,10 @@ def _enforcement_oracle(specs, events):
     return fatal
 
 
-def _check_enforcement(kind, specs, events, oracle_fatal, tag):
-    """The enforce=True gate under ``kind`` agrees with the DFA-walk oracle."""
-    engine = HistoryCheckerEngine(kernel=kind)
+def _check_enforcement(product_cap, specs, events, oracle_fatal, tag):
+    """The enforce=True gate under ``product_cap`` agrees with the DFA-walk oracle."""
+    tag = (tag, product_cap)
+    engine = HistoryCheckerEngine(product_cap=product_cap)
     _register_all(engine, specs)
     # Specs with an empty language doom every object from its very first
     # event; the gate rejects everything, but untouched objects legitimately
@@ -169,14 +172,14 @@ def _check_enforcement(kind, specs, events, oracle_fatal, tag):
     for start in range(0, len(events), chunk):
         piece = events[start : start + chunk]
         report = stream.feed_events(piece, enforce=True)
-        assert int(report) + len(report.rejected) == len(piece), (tag, kind)
+        assert int(report) + len(report.rejected) == len(piece), tag
         rejected.extend(start + record.index for record in report.rejected)
-    assert rejected == oracle_fatal, (tag, kind, "gate vs oracle fatal indices")
-    assert stream.events_seen == len(events) - len(oracle_fatal), (tag, kind)
+    assert rejected == oracle_fatal, (tag, "gate vs oracle fatal indices")
+    assert stream.events_seen == len(events) - len(oracle_fatal), tag
     # An enforced stream never reports a doomed verdict.
     for name in nonempty:
         for object_id in stream.objects(name):
-            assert not stream.doomed(name, object_id), (tag, kind, name, object_id)
+            assert not stream.doomed(name, object_id), (tag, name, object_id)
 
     # reject_batch is all-or-nothing: it raises on the oracle's *first* fatal
     # index and leaves the session untouched.
@@ -184,11 +187,11 @@ def _check_enforcement(kind, specs, events, oracle_fatal, tag):
     if oracle_fatal:
         with pytest.raises(EnforcementError) as caught:
             batch_stream.feed_events(events, enforce=True, policy="reject_batch")
-        assert caught.value.index == oracle_fatal[0], (tag, kind)
-        assert batch_stream.events_seen == 0, (tag, kind)
+        assert caught.value.index == oracle_fatal[0], tag
+        assert batch_stream.events_seen == 0, tag
     else:
         report = batch_stream.feed_events(events, enforce=True, policy="reject_batch")
-        assert int(report) == len(events) and not report.rejected, (tag, kind)
+        assert int(report) == len(events) and not report.rejected, tag
 
 
 def _check_one_case(case_seed, fresh_restore):
@@ -200,10 +203,10 @@ def _check_one_case(case_seed, fresh_restore):
     # deterministic-recompile in the differential loop, not just in a
     # dedicated unit test.
     cache_size = 1 if case_seed % 3 == 0 else 64
-    engine = HistoryCheckerEngine(cache_size=cache_size, kernel="fused")
+    engine = HistoryCheckerEngine(cache_size=cache_size)
     _register_all(engine, specs)
 
-    # Path 1: fused multi-spec batch.
+    # Path 1: multi-spec batch.
     assert engine.check_batch_all(histories) == expected, tag
     # Path 2: per-spec batch.
     for name in specs:
@@ -235,7 +238,7 @@ def _check_one_case(case_seed, fresh_restore):
     # restart simulation (fingerprints must match across engines because
     # table compilation is deterministic).
     if fresh_restore:
-        other = HistoryCheckerEngine(kernel="fused")
+        other = HistoryCheckerEngine()
         _register_all(other, specs)
         migrated = other.restore_stream(blob)
         assert migrated.reset_on_restore == (), tag
@@ -248,50 +251,47 @@ def _check_one_case(case_seed, fresh_restore):
         for index, history in enumerate(histories):
             assert migrated.history(index) == tuple(history), (tag, index)
 
-    # Path 6: the numpy vector kernel, batch and streaming, including the
-    # kind-portable snapshot wire format in both directions.
-    if HAVE_NUMPY:
-        vec = HistoryCheckerEngine(kernel="vector")
-        _register_all(vec, specs)
-        assert vec.check_batch_all(histories) == expected, (tag, "vector batch")
+    # Path 6: a second product grouping -- one spec per kernel group -- in
+    # batch and streaming.  Whenever the case has several specs, restoring
+    # across the two groupings goes through the per-spec state translation
+    # path, in both directions.
+    split = HistoryCheckerEngine(product_cap=SPLIT_CAP)
+    _register_all(split, specs)
+    assert split.check_batch_all(histories) == expected, (tag, "split batch")
 
-        vec_stream = vec.open_stream()
-        vec_stream.feed_events(events[:half])
-        vec_blob = vec_stream.snapshot()
-        for target, label in ((vec, "vector→vector"), (engine, "vector→fused")):
-            restored_vec = target.restore_stream(vec_blob)
-            assert restored_vec.reset_on_restore == (), (tag, label)
-            restored_vec.feed_events(events[half:])
-            for name in specs:
-                verdicts = restored_vec.verdicts(name)
-                streamed = [verdicts[index] for index in range(len(histories))]
-                assert streamed == expected[name], (tag, name, label)
-        # The fused snapshot restores under the vector kernel too.
-        from_fused = vec.restore_stream(blob)
-        assert from_fused.reset_on_restore == (), (tag, "fused→vector")
-        from_fused.feed_events(events[half:])
+    split_stream = split.open_stream()
+    split_stream.feed_events(events[:half])
+    split_blob = split_stream.snapshot()
+    for target, source, label in (
+        (split, split_blob, "split→split"),
+        (engine, split_blob, "split→one group"),
+        (split, blob, "one group→split"),
+    ):
+        restored_split = target.restore_stream(source)
+        assert restored_split.reset_on_restore == (), (tag, label)
+        restored_split.feed_events(events[half:])
         for name in specs:
-            verdicts = from_fused.verdicts(name)
+            verdicts = restored_split.verdicts(name)
             streamed = [verdicts[index] for index in range(len(histories))]
-            assert streamed == expected[name], (tag, name, "fused→vector")
+            assert streamed == expected[name], (tag, name, label)
 
-        # Mid-stream re-registration: bumping one spec's generation forces a
-        # kernel rebuild, so the live ndarray columns of every *other* spec
-        # are carried over through state translation.
-        if len(specs) > 1:
-            names = sorted(specs)
-            vec.add_spec(names[0], specs[names[0]])
-            vec_stream.feed_events(events[half:])
-            for name in names[1:]:
-                verdicts = vec_stream.verdicts(name)
-                streamed = [verdicts[index] for index in range(len(histories))]
-                assert streamed == expected[name], (tag, name, "vector re-registration")
+    # Mid-stream re-registration: bumping one spec's generation forces a
+    # kernel rebuild, so the live state columns of every *other* spec are
+    # carried over through state translation.
+    if len(specs) > 1:
+        names = sorted(specs)
+        split.add_spec(names[0], specs[names[0]])
+        split_stream.feed_events(events[half:])
+        for name in names[1:]:
+            verdicts = split_stream.verdicts(name)
+            streamed = [verdicts[index] for index in range(len(histories))]
+            assert streamed == expected[name], (tag, name, "split re-registration")
 
     # Path 7: the enforce=True admissibility gate against an independent
-    # DFA-walk oracle, under both kernel kinds.
+    # DFA-walk oracle, under both groupings.
     oracle_fatal = _enforcement_oracle(specs, events)
-    for kind in ("fused", "vector") if HAVE_NUMPY else ("fused",):
-        _check_enforcement(kind, specs, events, oracle_fatal, tag)
+    for product_cap in (PRODUCT_STATE_CAP, SPLIT_CAP):
+        _check_enforcement(product_cap, specs, events, oracle_fatal, tag)
 
 
 def test_differential_fuzz_all_paths_agree(fuzz_rounds):

@@ -34,7 +34,7 @@ import pytest
 
 import repro
 from repro.core.rolesets import enumerate_role_sets
-from repro.engine import HistoryCheckerEngine, SnapshotError
+from repro.engine import CursorTable, HistoryCheckerEngine, SnapshotError, compile_spec
 from repro.testing.faults import bit_flip, corrupt_file, tear_file
 from repro.workloads import generators
 
@@ -76,17 +76,21 @@ def _stream_case(seed):
 
 
 def _engine(specs, **kwargs):
-    engine = HistoryCheckerEngine(kernel="fused", **kwargs)
+    engine = HistoryCheckerEngine(**kwargs)
     for name, nfa in specs.items():
         engine.add_spec(name, nfa)
     return engine
 
 
 def _stream_oracle(specs, events):
-    """Verdicts of an uninterrupted in-memory session over ``events``."""
-    stream = _engine(specs).open_stream()
-    stream.feed_events(events)
-    return stream.all_verdicts()
+    """Verdicts of an uninterrupted per-spec cursor sweep over ``events``."""
+    verdicts = {}
+    for name, nfa in specs.items():
+        spec = compile_spec(nfa)
+        table = CursorTable()
+        table.advance_events(spec, events)
+        verdicts[name] = table.verdicts(spec)
+    return verdicts
 
 
 # --------------------------------------------------------------------------- #
