@@ -6,14 +6,16 @@ and object ids lived in per-spec dicts.  This module makes a *columnar*
 encoding the engine's native interchange format instead:
 
 * :class:`ObjectInterner` -- object ids become dense integers in
-  first-appearance order.  Non-negative ``int`` ids go through a numpy
-  *slot table* indexed by the id (one gather per column, fresh ids found by
-  a first-occurrence scatter); any other id switches the interner to a
-  dict for good (the switch is sticky);
+  first-appearance order.  Small non-negative ``int`` ids go through a
+  numpy *slot table* indexed by the id, every other int64 ``int`` id
+  (sparse 62-bit keys, negative ids) through an ``int64`` open-addressing
+  *hash index*; only ids that are not int64 ``int``s switch the interner
+  to a dict.  Switches are sticky;
 * :class:`EncodedBatch` -- an interleaved event stream encoded **once**
   against the engine's shared :class:`repro.formal.alphabet.RoleSetAlphabet`
-  into ``int64`` ndarray id/code columns (list columns on the dict path),
-  with the other layout derived lazily for the consumers that need it;
+  into ``int64`` ndarray id/code columns (list columns only on the dict
+  path, i.e. for non-int ids), with the other layout derived lazily for
+  the consumers that need it;
 * :class:`ColumnarHistorySet` -- whole-history batches as one flat code
   column plus offsets, the unit of batch checking;
 * :class:`_ProductGroup` -- the reachable *product* automaton of a group
@@ -71,6 +73,15 @@ DENSE_WIRE_LIMIT = COLUMN_WIRE_LIMIT // 8
 _SLOT_FLOOR = 1 << 16
 _SLOT_FACTOR = 4
 
+#: Hash-index sizing: the code table is a power of two of at least
+#: ``_HASH_FLOOR`` entries, kept at most half full.
+_HASH_FLOOR = 1 << 10
+
+#: The hash index's multiplier (2**64 / golden ratio, odd): an id's high
+#: half is folded onto its low half, the product's top bits pick the slot.
+_HASH_MULT = 0x9E3779B97F4A7C15
+_U64 = (1 << 64) - 1
+
 _INT_ONLY = {int}
 
 
@@ -78,32 +89,45 @@ class ObjectInterner:
     """Dense integer codes for stream objects, append-only like the alphabet.
 
     Codes are handed out in first-appearance order and never move.  The
-    id -> code map lives in one of two representations:
+    id -> code map lives in one of three representations:
 
     * a **slot table** -- an ``int64`` ndarray indexed by the id itself,
       ``-1`` marking ids not seen yet -- while every interned id is a
       non-negative ``int`` and the table stays within
       ``_SLOT_FLOOR + _SLOT_FACTOR * len(self)`` slots.  Encoding a column
       is one gather; fresh ids are found with a first-occurrence scatter
-      (no dict, no sort) and the caller's own id objects are appended to
-      the object list, so no new Python ints are minted.
+      (no dict, no sort).
+    * a **hash index** for any other ``int`` ids that fit in int64 (sparse
+      62-bit keys, negative ids): a power-of-two ``int64`` code table, at
+      most half full and probed linearly from a hash of the id's folded
+      bits, plus an ``int64`` keys-by-code column.  Lookups, and inserts
+      that dedupe fresh ids in first-appearance order, run as array passes
+      (one per probe round); point reads (:meth:`code_of`) stay scalar.
     * a **dict** ``{id: code}`` for everything else -- strings, tuples,
-      bools, ids past the bound.
+      bools, ints past int64.
 
-    The dict mode is sticky: the first column the slot table cannot
-    hold converts the interner once (building the dict from the object
-    list) and it never probes the slot table again.  Both representations
-    hand out the same codes for the same input, so the choice is invisible
+    The array paths append the caller's own id objects to the object list,
+    so no new Python ints are minted.  Modes only move forward (slot ->
+    hash -> dict, or slot -> dict) and each switch is sticky: the first
+    column a representation cannot hold converts the interner once,
+    rebuilding the next map from the codes held so far.  All three hand
+    out the same codes for the same input, so the choice is invisible
     outside this class.
     """
 
-    __slots__ = ("_objects", "_slots", "_codes")
+    __slots__ = ("_objects", "_slots", "_table", "_keys", "_probe", "_codes")
 
     def __init__(self) -> None:
         self._objects: List[ObjectId] = []
-        #: Exactly one of the two maps is live: the slot table (``None`` in
-        #: dict mode) or the dict (``None`` in slot mode).
+        #: Exactly one map is live: the slot table, the hash index (code
+        #: table plus keys-by-code buffer) or the dict; the others are
+        #: ``None``.
         self._slots = _np.empty(0, dtype=_np.int64)
+        self._table = None
+        self._keys = None
+        #: The hash index as point reads use it: ``(memoryview of the code
+        #: table, shift, mask)``, so :meth:`code_of` stays in Python ints.
+        self._probe = None
         self._codes: Optional[Dict[ObjectId, int]] = None
 
     def __len__(self) -> int:
@@ -113,12 +137,30 @@ class ObjectInterner:
         """Slots the table may span once ``extra`` more objects are interned."""
         return _SLOT_FLOOR + _SLOT_FACTOR * (len(self._objects) + extra)
 
+    def _held_ids(self):
+        """The interned ids in code order, as an ``int64`` ndarray (array modes)."""
+        if self._slots is None:
+            return self._keys[: len(self._objects)]
+        slots = self._slots
+        held = _np.flatnonzero(slots >= 0)
+        ids = _np.empty(len(self._objects), dtype=_np.int64)
+        ids[slots[held]] = held
+        return ids
+
+    def _to_hash_mode(self) -> None:
+        """Leave slot mode for good: the hash index is built from the slot table."""
+        ids = self._held_ids()
+        self._slots = None
+        self._keys = _np.empty(max(2 * len(ids), 16), dtype=_np.int64)
+        self._keys[: len(ids)] = ids
+        self._rehash(0)
+
     def _to_dict_mode(self) -> None:
-        """Leave slot mode for good: the dict is rebuilt from the object list."""
+        """Leave the array modes for good: the dict is rebuilt from the object list."""
         if self._codes is None:
             objects = self._objects
             self._codes = dict(zip(objects, range(len(objects))))
-            self._slots = None
+            self._slots = self._table = self._keys = self._probe = None
 
     def _reserve(self, high: int) -> None:
         """Grow the slot table to hold id ``high`` (doubling, capped at the bound)."""
@@ -128,6 +170,18 @@ class ObjectInterner:
         grown = _np.full(max(high + 1, min(2 * len(slots), self._slot_bound())), -1, _np.int64)
         grown[: len(slots)] = slots
         self._slots = grown
+
+    def _rehash(self, room: int) -> None:
+        """A fresh code table, doubled until ``room`` more ids fit at load
+        at most one half, holding every held key."""
+        count = len(self._objects)
+        size = _HASH_FLOOR if self._table is None else len(self._table)
+        while size < 2 * (count + room):
+            size *= 2
+        self._table = table = _np.full(size, -1, dtype=_np.int64)
+        _first, slots = _claim(table, self._keys[:count])
+        table[slots] = _np.arange(count)
+        self._probe = (memoryview(table), 65 - size.bit_length(), size - 1)
 
     def intern(self, object_id: ObjectId) -> int:
         """The dense code of one object, allocating a fresh one on first sight."""
@@ -139,15 +193,14 @@ class ObjectInterner:
         return codes if isinstance(codes, list) else codes.tolist()
 
     def encode_column(self, column: Sequence[ObjectId]):
-        """Encode a whole id column: the codes as an ``int64`` ndarray on the
-        slot path, as a list on the dict path."""
+        """Encode a whole id column: the codes as an ``int64`` ndarray when
+        every id is an int64 ``int``, as a list on the dict path."""
         if not len(column):
             return []
-        if self._slots is not None:
+        if self._codes is None:
             ids = _int_array(column)
-            codes = None if ids is None else self._intern_ids(ids, column)
-            if codes is not None:
-                return codes
+            if ids is not None:
+                return self._intern_ids(ids, column)
             self._to_dict_mode()
         codes = self._codes
         objects = self._objects
@@ -159,13 +212,24 @@ class ObjectInterner:
                 objects.append(object_id)
         return list(map(codes.__getitem__, column))
 
-    def _intern_ids(self, ids, column: Optional[Sequence[ObjectId]] = None):
-        """The slot-table codes of the non-empty int64 id array ``ids``, or
-        ``None`` -- with nothing interned -- when the table cannot hold them.
+    def _intern_ids(self, ids, column: Optional[Sequence[ObjectId]], fresh_only=False):
+        """The codes of the non-empty int64 id array ``ids`` (array modes).
 
         Fresh objects are taken from ``column``, the caller's own id objects
         (no new Python ints are minted), or from ``ids`` when there is none.
+        With ``fresh_only`` a column that repeats an id or names a held one
+        raises ``ValueError`` before anything is interned.
         """
+        if self._slots is not None:
+            codes = self._slot_intern(ids, column, fresh_only)
+            if codes is not None:
+                return codes
+            self._to_hash_mode()
+        return self._hash_intern(ids, column, fresh_only)
+
+    def _slot_intern(self, ids, column, fresh_only):
+        """The slot-table half of :meth:`_intern_ids`: ``None`` -- with
+        nothing interned -- when the table cannot hold ``ids``."""
         high = int(ids.max())
         # len(ids) bounds the fresh ids, so ids failing this check would
         # leave the table past its bound however many are new.
@@ -175,45 +239,113 @@ class ObjectInterner:
         slots = self._slots
         codes = slots[ids]
         where = _np.flatnonzero(codes < 0)
+        if fresh_only and where.size != ids.size:
+            raise ValueError("an object-id payload repeats an id")
         if where.size:
             fresh = ids[where]
             order = _np.arange(fresh.size)
             slots[fresh[::-1]] = order[::-1]  # last write wins = first occurrence
             new = where[slots[fresh] == order]
+            if fresh_only and new.size != fresh.size:
+                slots[fresh] = -1
+                raise ValueError("an object-id payload repeats an id")
             start = len(self._objects)
             slots[ids[new]] = _np.arange(start, start + new.size)
             codes[where] = slots[fresh]
-            if column is None:
-                self._objects.extend(ids[new].tolist())
-            elif new.size == ids.size:
-                self._objects.extend(column)  # every id fresh and distinct
-            else:
-                self._objects.extend(map(column.__getitem__, new.tolist()))
+            self._extend_objects(ids, column, new)
             # The exact post-intern bound: a sparse column may have grown
-            # the table past it -- its codes stand, the dict takes over.
+            # the table past it -- its codes stand, the hash index takes over.
             if len(slots) > self._slot_bound():
-                self._to_dict_mode()
+                self._to_hash_mode()
         return codes
+
+    def _hash_intern(self, ids, column, fresh_only):
+        """The hash-index half of :meth:`_intern_ids`."""
+        codes = _lookup(self._table, self._keys, ids)
+        where = _np.flatnonzero(codes < 0)
+        if fresh_only and where.size != ids.size:
+            raise ValueError("an object-id payload repeats an id")
+        if where.size:
+            fresh = ids[where]
+            start = len(self._objects)
+            if 2 * (start + fresh.size) > len(self._table):
+                self._rehash(fresh.size)
+            first, slots = _claim(self._table, fresh)
+            # Positions whose id first occurs there, in first-appearance order.
+            firsts = _np.flatnonzero(first == _np.arange(fresh.size))
+            if fresh_only and firsts.size != fresh.size:
+                self._table[slots[firsts]] = -1
+                raise ValueError("an object-id payload repeats an id")
+            count = start + firsts.size
+            fresh_codes = _np.empty(fresh.size, dtype=_np.int64)
+            fresh_codes[firsts] = _np.arange(start, count)
+            self._table[slots[firsts]] = fresh_codes[firsts]
+            codes[where] = fresh_codes[first]
+            keys = self._keys
+            if count > len(keys):
+                grown = _np.empty(max(count, 2 * len(keys)), dtype=_np.int64)
+                grown[:start] = keys[:start]
+                keys = self._keys = grown
+            keys[start:count] = fresh[firsts]
+            self._extend_objects(ids, column, where[firsts])
+        return codes
+
+    def _extend_objects(self, ids, column, new) -> None:
+        """Append the objects at positions ``new`` of the id column."""
+        if column is None:
+            self._objects.extend(ids[new].tolist())
+        elif new.size == ids.size:
+            self._objects.extend(column)  # every id fresh and distinct
+        else:
+            self._objects.extend(map(column.__getitem__, new.tolist()))
 
     def code_of(self, object_id: ObjectId, default: int = -1) -> int:
         """The existing code of ``object_id``, or ``default`` -- never interns.
 
-        Slot mode keeps dict-lookup semantics: every key is an ``int``
-        below the table length, and such an int hashes to itself, so the
-        only candidate is the slot at ``hash(object_id)`` -- matched by
-        identity or ``==`` exactly as a dict would (``True`` finds ``1``).
+        The array modes keep dict-lookup semantics.  Slot mode: every key
+        is an ``int`` below the table length, and such an int hashes to
+        itself, so the only candidate is the slot at ``hash(object_id)`` --
+        matched by identity or ``==`` exactly as a dict would (``True``
+        finds ``1``).  Hash mode: every key is an int64 ``int``, so the only
+        candidate is the int equal to ``object_id`` (``True``, ``1.0`` and
+        ``numpy.int64(1)`` all find ``1``), probed with Python-int
+        arithmetic -- a point read costs no numpy round trip.
         """
         slots = self._slots
-        if slots is None:
+        if slots is not None:
+            slot = hash(object_id)
+            if 0 <= slot < len(slots):
+                code = int(slots[slot])
+                if code >= 0:
+                    known = self._objects[code]
+                    if known is object_id or known == object_id:
+                        return code
+            return default
+        probe = self._probe
+        if probe is None:
             return self._codes.get(object_id, default)
-        slot = hash(object_id)
-        if 0 <= slot < len(slots):
-            code = int(slots[slot])
-            if code >= 0:
-                known = self._objects[code]
-                if known is object_id or known == object_id:
-                    return code
-        return default
+        key = object_id
+        if type(key) is not int:
+            try:
+                key = int(object_id)
+            except (TypeError, ValueError, OverflowError):
+                return default
+            if key != object_id:
+                return default
+        # _home_slots in Python ints.  A key past int64 lands on some slot
+        # but equals no held key, so its probe ends at an empty slot.
+        table, shift, mask = probe
+        folded = key if key >= 0 else key & _U64
+        folded ^= folded >> 32
+        slot = ((folded * _HASH_MULT) >> shift) & mask
+        objects = self._objects
+        while True:
+            code = table[slot]
+            if code < 0:
+                return default
+            if objects[code] == key:
+                return code
+            slot = (slot + 1) & mask
 
     def object(self, code: int) -> ObjectId:
         """The object carrying ``code`` (inverse of :meth:`intern`)."""
@@ -229,26 +361,22 @@ class ObjectInterner:
         """Whether every code ``c`` holds the int ``c`` -- the id space
         ``("dense", n)`` stands for."""
         objects = self._objects
-        if self._slots is not None:
-            return bool((self._slots[: len(objects)] == _np.arange(len(objects))).all())
+        if self._codes is None:
+            return bool((self._held_ids() == _np.arange(len(objects))).all())
         return all(type(o) is int and o == c for c, o in enumerate(objects))
 
     def to_snapshot(self) -> Tuple:
         """The id space as a picklable pair.
 
-        A slot-mode interner ships its ids as one packed integer column in
-        code order (``("ids", packed)``, cut straight from the slot table);
-        a dict-mode interner ships its object list.  :meth:`from_snapshot`
-        inverts both exactly -- codes never move across a snapshot round
-        trip.
+        A slot- or hash-mode interner ships its ids as one packed integer
+        column in code order (``("ids", packed)``, cut from the slot table or
+        the keys column); a dict-mode interner ships its object list.
+        :meth:`from_snapshot` inverts both exactly -- codes never move
+        across a snapshot round trip.
         """
-        slots = self._slots
-        if slots is None:
+        if self._codes is not None:
             return ("objects", list(self._objects))
-        held = _np.flatnonzero(slots >= 0)
-        ids = _np.empty(len(self._objects), dtype=_np.int64)
-        ids[slots[held]] = held
-        return ("ids", _pack_array(ids))
+        return ("ids", _pack_array(self._held_ids()))
 
     def tail(self, start: int) -> Tuple:
         """The id-space delta since the first ``start`` codes, as a payload.
@@ -293,20 +421,19 @@ class ObjectInterner:
         journal-tail replay.
 
         ``data`` is a sequence of ids or an int64 array of them.  A payload
-        that repeats an id raises ``ValueError``; on the dict path the check
-        runs before anything is interned.
+        that repeats an id, or names one already held, raises ``ValueError``
+        before anything is interned.
         """
         start = len(self._objects)
         if not len(data):
             return
-        if self._slots is not None:
+        if self._codes is None:
             if isinstance(data, _np.ndarray):
                 ids, column = data, None
             else:
                 ids, column = _int_array(data), data
-            if ids is not None and self._intern_ids(ids, column) is not None:
-                if len(self._objects) != start + len(data):
-                    raise ValueError("an object-id payload repeats an id")
+            if ids is not None:
+                self._intern_ids(ids, column, fresh_only=True)
                 return
             self._to_dict_mode()
         if isinstance(data, _np.ndarray):
@@ -341,7 +468,7 @@ class ObjectInterner:
         return interner
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "dict" if self._slots is None else "slots"
+        mode = "slots" if self._slots is not None else "hash" if self._codes is None else "dict"
         return f"ObjectInterner({len(self)} objects, {mode})"
 
 
@@ -354,6 +481,68 @@ def _int_array(column: Sequence[ObjectId]):
         return _np.fromiter(column, dtype=_np.int64, count=len(column))
     except OverflowError:
         return None
+
+
+def _home_slots(ids, size: int):
+    """The home slots of an int64 id array in a code table of ``size``
+    (a power of two): the id's high half folded onto its low half, times
+    :data:`_HASH_MULT`, top bits -- so ids differing only in high bits (or
+    equal modulo ``size``) still spread."""
+    folded = ids.view(_np.uint64)
+    folded = folded ^ (folded >> _np.uint64(32))
+    shift = _np.uint64(65 - size.bit_length())
+    return ((folded * _np.uint64(_HASH_MULT)) >> shift).astype(_np.intp)
+
+
+def _lookup(table, keys, ids):
+    """The codes of ``ids`` in the hash index, ``-1`` for ids it does not hold.
+
+    Linear probing, one array pass per probe round over the ids still
+    unresolved (at most half the table is full, so rounds stay few).
+    """
+    mask = len(table) - 1
+    slots = _home_slots(ids, len(table))
+    codes = table[slots]
+    # keys[-1] for an empty slot's -1 is a harmless read: the mask drops it.
+    pending = _np.flatnonzero((codes >= 0) & (keys[codes] != ids))
+    while pending.size:
+        probe = (slots[pending] + 1) & mask
+        slots[pending] = probe
+        found = table[probe]
+        codes[pending] = found
+        pending = pending[(found >= 0) & (keys[found] != ids[pending])]
+    return codes
+
+
+def _claim(table, fresh):
+    """Claim one empty slot of the code table per distinct id of ``fresh``
+    (ids the table does not hold yet; it must have room for all of them).
+
+    Returns ``(first, slots)``: per element, the position of its id's first
+    occurrence in ``fresh`` and the slot that id claimed.  A claimed slot
+    holds ``-2 - position`` until the caller writes the id's code there.
+    Each round every pending element tries its current slot: claims on
+    one empty slot resolve to the earliest claimant (last write wins on
+    the reversed order), every occurrence of the winning id resolves with
+    it -- equal ids walk one probe sequence in lockstep -- and the rest
+    probe on.
+    """
+    mask = len(table) - 1
+    slots = _home_slots(fresh, len(table))
+    first = _np.empty(fresh.size, dtype=_np.intp)
+    pending = _np.arange(fresh.size)
+    while pending.size:
+        probe = slots[pending]
+        empty = _np.flatnonzero(table[probe] == -1)
+        table[probe[empty[::-1]]] = -2 - pending[empty[::-1]]
+        claimed = table[probe]
+        owner = -2 - claimed
+        owner[owner < 0] = 0  # a held code, not a claim: never a match below
+        mine = (claimed < -1) & (fresh[owner] == fresh[pending])
+        first[pending[mine]] = owner[mine]
+        pending = pending[~mine]
+        slots[pending] = (slots[pending] + 1) & mask
+    return first, slots
 
 
 def _dense_count(count) -> int:
@@ -374,9 +563,14 @@ if array("I").itemsize != 4:  # pragma: no cover - no mainstream platform
 
 def _pack_array(values) -> Tuple[str, int, bytes]:
     """``(typecode, 0, data)``: an int ndarray in the narrowest typecode that
-    fits, uncompressed (the interner's id snapshot, WAL columns)."""
-    high = int(values.max()) if values.size else 0
-    typecode = next((code for code, top in _TYPECODES.items() if high <= top), "q")
+    fits, uncompressed (the interner's id snapshot, WAL columns).  Only
+    ``"q"`` is signed, so a column holding a negative value always packs
+    as ``"q"``."""
+    if values.size and int(values.min()) < 0:
+        typecode = "q"
+    else:
+        high = int(values.max()) if values.size else 0
+        typecode = next((code for code, top in _TYPECODES.items() if high <= top), "q")
     return typecode, 0, values.astype(_np.dtype(typecode), copy=False).tobytes()
 
 
@@ -443,10 +637,11 @@ class EncodedBatch:
     """An interleaved event batch encoded once into dense integer columns.
 
     Each column is an ``int64`` ndarray, a plain list, or both.  A batch
-    encoded through the interner's slot table (or decoded from the journal)
-    is born as ndarrays -- the kernel's native layout, so ``len``,
-    :attr:`max_id` and :attr:`max_code` never touch a list -- while
-    dict-path batches are born as lists.  The other form is derived on first use and
+    whose ids are int64 ``int``s (slot table or hash index), or decoded
+    from the journal, is born as ndarrays -- the kernel's native layout, so
+    ``len``, :attr:`max_id` and :attr:`max_code` never touch a list --
+    while batches of non-int ids (the dict path) are born as lists.  The
+    other form is derived on first use and
     cached: :attr:`id_list` / :attr:`code_list` for the consumers that sweep
     per event in Python (enforcement records, traces), :attr:`id_array` /
     :attr:`code_array` for the kernel.
@@ -508,8 +703,8 @@ class EncodedBatch:
 
         Unseen symbols are interned into ``alphabet`` (append-only, so codes
         already handed out never move); unseen objects are interned into
-        ``objects`` (a fresh interner when not given).  When the ids take
-        the interner's slot path, both columns come out as ndarrays.
+        ``objects`` (a fresh interner when not given).  When the ids are
+        int64 ``int``s, both columns come out as ndarrays.
         """
         events = events if isinstance(events, (list, tuple)) else list(events)
         interner = objects if objects is not None else ObjectInterner()

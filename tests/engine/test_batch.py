@@ -54,32 +54,54 @@ class TestObjectInterner:
         assert interner.intern(10) == 3  # a gap is just another fresh id
         assert interner.object(3) == 10
 
-    def test_int_columns_take_the_slot_table_and_the_dict_fallback_is_sticky(self):
+    def test_sparse_ints_take_the_hash_index_others_the_dict(self):
         interner = ObjectInterner()
         codes = interner.encode_column([60_000, 5, 60_000])
         assert codes.dtype == np.int64 and codes.tolist() == [0, 1, 0]
-        assert interner._slots is not None and interner._codes is None
+        assert interner._slots is not None and interner._table is None
         # The caller's own id objects are kept, not fresh ints.
         big = int("1001")  # not a cached small int
         interner.encode_column([big])
         assert interner.object(2) is big
-        interner.intern_column([1 << 40])  # past the bound: dict from now on
-        assert interner._slots is None and interner._codes is not None
-        assert interner.intern_column([6, 5]) == [4, 1]
-        assert interner._slots is None
+        sparse = (1 << 62) + 3
+        codes = interner.encode_column([sparse, 5, -7, sparse])  # past the bound: hash index
+        assert codes.dtype == np.int64 and codes.tolist() == [3, 1, 4, 3]
+        assert interner._slots is None and interner._table is not None
+        assert interner.object(3) is sparse
+        assert interner.intern_column([6, 60_000]) == [5, 0]
+        assert interner._slots is None and interner._codes is None  # sticky
+        assert interner.intern_column(["acct-9", 5]) == [6, 1]  # not an int: dict from now on
+        assert interner._table is None and interner._keys is None
+        assert interner.intern_column([sparse, 7]) == [3, 7]
+        assert interner._codes is not None and interner._table is None
 
-    def test_the_slot_table_stays_within_its_bound(self):
+    def test_the_slot_table_bound_hands_over_to_the_hash_index(self):
         from repro.engine.batch import _SLOT_FACTOR, _SLOT_FLOOR
 
         interner = ObjectInterner()
         interner.intern_column(list(range(1000)))
         assert len(interner._slots) <= _SLOT_FLOOR + _SLOT_FACTOR * 1000
         # 20 events but one fresh object: the table it would need is past
-        # the bound for 1001 objects, so the interner hands over to the dict.
+        # the bound for 1001 objects, so the interner hands over to the
+        # hash index, at most half full.
         high = _SLOT_FLOOR + _SLOT_FACTOR * 1001 + 10
-        assert interner.intern_column([high] * 20) == [1000] * 20
-        assert interner._slots is None
+        codes = interner.encode_column([high] * 20)
+        assert codes.dtype == np.int64 and codes.tolist() == [1000] * 20
+        assert interner._slots is None and interner._codes is None
+        assert 2 * 1001 <= len(interner._table) <= 4 * max(1001, 1 << 10)
         assert interner.code_of(high) == 1000 and interner.code_of(999) == 999
+
+    def test_a_sparse_column_past_the_post_intern_bound_keeps_its_codes(self):
+        # Each id alone fits the pre-intern bound (len(ids) fresh slots of
+        # headroom), but the duplicates leave the table past the exact one.
+        from repro.engine.batch import _SLOT_FACTOR, _SLOT_FLOOR
+
+        interner = ObjectInterner()
+        high = _SLOT_FLOOR + _SLOT_FACTOR * 5
+        codes = interner.encode_column([high, 3] * 5)
+        assert codes.tolist() == [0, 1] * 5
+        assert interner._slots is None and interner._table is not None
+        assert interner.intern_column([3, high, 4]) == [1, 0, 2]
 
     def test_code_of_returns_the_default_for_unseen_in_range_ids(self):
         interner = ObjectInterner()
@@ -91,23 +113,76 @@ class TestObjectInterner:
         interner.intern(1)
         assert interner.code_of(True) == interner.code_of(1.0) == 2
 
+    def test_hash_mode_code_of_keeps_dict_semantics(self):
+        big = (1 << 62) + 5  # hash(big) != big: past the hash modulus 2**61 - 1
+        interner = ObjectInterner()
+        interner.intern_column([big, 1, -1, (1 << 63) - 1, -(1 << 63)])
+        assert interner._table is not None
+        assert hash(big) != big and hash(-1) == -2
+        for probe, code in [(big, 0), (1, 1), (-1, 2), ((1 << 63) - 1, 3), (-(1 << 63), 4)]:
+            assert interner.code_of(probe) == code
+            assert interner.code_of(np.int64(probe)) == code
+        assert interner.code_of(True) == interner.code_of(1.0) == 1
+        assert interner.code_of(-1.0) == 2
+        assert interner.code_of(False, "unseen") == "unseen"
+        assert interner.code_of(1.5) == interner.code_of("1") == interner.code_of(None) == -1
+        assert interner.code_of(float("nan")) == interner.code_of(float("inf")) == -1
+        assert interner.code_of(big + (1 << 64)) == interner.code_of(1 << 64) == -1
+        assert interner.code_of(np.uint64(big)) == 0
+
+    def test_sparse_int_ids_pack_signed_and_restore_in_hash_mode(self):
+        from repro.engine.batch import _pack_array, _unpack_ints
+
+        for values, typecode in [
+            ([0, 255], "B"),
+            ([70_000], "I"),
+            ([-1, 3], "q"),
+            ([-(1 << 63)], "q"),
+        ]:
+            packed = _pack_array(np.asarray(values, dtype=np.int64))
+            assert packed[0] == typecode
+            assert _unpack_ints(packed, 1 << 20).tolist() == values
+        ids = [(1 << 62) + 9, -5, 17, -(1 << 63)]
+        interner = ObjectInterner()
+        interner.intern_column(ids)
+        kind, packed = interner.to_snapshot()
+        assert kind == "ids" and packed[0] == "q"
+        restored = ObjectInterner.from_snapshot((kind, packed))
+        assert restored._table is not None
+        assert [restored.object(code) for code in range(4)] == ids
+        assert [restored.code_of(i) for i in ids] == [0, 1, 2, 3]
+
 
 _SMALL = st.integers(min_value=0, max_value=40)
-_ANY_ID = st.one_of(
+_INT64_ID = st.one_of(
     _SMALL,
-    st.integers(min_value=0, max_value=200_000),  # gaps past the slot floor
+    st.integers(min_value=0, max_value=(1 << 62) - 1),  # sparse 62-bit keys
     st.integers(min_value=-5, max_value=-1),
-    st.sampled_from([1 << 40, 1 << 70, -(1 << 70)]),  # past the bound / int64
+    st.sampled_from([(1 << 63) - 1, -(1 << 63), -(1 << 62), 1 << 40]),  # int64 extremes
+    st.integers(min_value=0, max_value=60).map(lambda k: k << 40),  # shared low bits
+    st.integers(min_value=0, max_value=60).map(lambda k: (k << 10) + 7),  # equal mod table size
+)
+_ANY_ID = st.one_of(
+    _INT64_ID,
+    st.integers(min_value=0, max_value=200_000),  # gaps past the slot floor
+    st.sampled_from([1 << 63, -(1 << 63) - 1, 1 << 70, -(1 << 70)]),  # past int64
     st.booleans(),
     st.sampled_from(["a", "b", "acct-9"]),
 )
-_COLUMN = st.one_of(st.lists(_SMALL, max_size=25), st.lists(_ANY_ID, max_size=12))
+_COLUMN = st.one_of(
+    st.lists(_SMALL, max_size=25),
+    st.lists(_INT64_ID, max_size=30),
+    st.lists(_ANY_ID, max_size=12),
+)
 _STEP = st.one_of(_COLUMN, _ANY_ID.map(lambda object_id: ("one", object_id)))
 
 
-def _dict_interner() -> ObjectInterner:
+def _forced(mode: str) -> ObjectInterner:
     interner = ObjectInterner()
-    interner._to_dict_mode()
+    if mode == "hash":
+        interner._to_hash_mode()
+    elif mode == "dict":
+        interner._to_dict_mode()
     return interner
 
 
@@ -116,31 +191,70 @@ def _state(interner: ObjectInterner):
     return [(type(o), o) for o in map(interner.object, range(len(interner)))]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(steps=st.lists(_STEP, max_size=8), probes=st.lists(_ANY_ID, max_size=10), data=st.data())
-def test_slot_and_dict_interners_are_indistinguishable(steps, probes, data):
-    slot, plain = ObjectInterner(), _dict_interner()
+def test_slot_hash_and_dict_interners_are_indistinguishable(steps, probes, data):
+    interners = [_forced(mode) for mode in ("slot", "hash", "dict")]
+    plain = interners[-1]
     for step in steps:
         if isinstance(step, tuple):
-            assert slot.intern(step[1]) == plain.intern(step[1])
+            assert len({interner.intern(step[1]) for interner in interners}) == 1
         else:
-            assert slot.intern_column(step) == plain.intern_column(step)
-        assert _state(slot) == _state(plain)
-    for probe in probes + [41, 199_999, 7.0]:
-        assert slot.code_of(probe, "unseen") == plain.code_of(probe, "unseen")
-    for source in (slot, plain):
+            assert len({tuple(interner.intern_column(step)) for interner in interners}) == 1
+        for interner in interners:
+            assert _state(interner) == _state(plain)
+    probes = probes + [41, 199_999, 7.0, -1.0, 1 << 64]
+    expected = [plain.code_of(probe, "unseen") for probe in probes]
+    for interner in interners:
+        assert [interner.code_of(probe, "unseen") for probe in probes] == expected
+    for source in interners:
         restored = ObjectInterner.from_snapshot(source.to_snapshot())
         assert _state(restored) == _state(plain)
-        for probe in probes:
-            assert restored.code_of(probe, "unseen") == plain.code_of(probe, "unseen")
-    start = data.draw(st.integers(min_value=0, max_value=len(slot)))
-    for source in (slot, plain):
+        assert [restored.code_of(probe, "unseen") for probe in probes] == expected
+    start = data.draw(st.integers(min_value=0, max_value=len(plain)))
+    for source in interners:
         prefix = [source.object(code) for code in range(start)]
         replay = ObjectInterner.from_snapshot(("objects", prefix))
         replay.extend_tail(source.tail(start), start)
         assert _state(replay) == _state(plain)
-        for probe in probes:
-            assert replay.code_of(probe, "unseen") == plain.code_of(probe, "unseen")
+        assert [replay.code_of(probe, "unseen") for probe in probes] == expected
+
+
+def test_shared_low_bit_ids_intern_in_few_probe_rounds():
+    """10**5 ids ``k << 40`` (all low 40 bits equal) spread over the code
+    table: no id sits more than a few slots past its home, so every
+    lookup resolves in a bounded number of probe rounds."""
+    from repro.engine.batch import _home_slots
+
+    ids = [k << 40 for k in range(100_000)]
+    interner = ObjectInterner()
+    for start in range(0, len(ids), 20_000):
+        chunk = ids[start : start + 20_000]
+        assert interner.intern_column(chunk) == list(range(start, start + 20_000))
+    table = interner._table
+    assert table is not None and len(table) >= 2 * len(ids)
+    held = np.flatnonzero(table >= 0)
+    assert held.size == len(ids)
+    slot_of = np.empty(len(ids), dtype=np.intp)
+    slot_of[table[held]] = held
+    displacement = (slot_of - _home_slots(np.asarray(ids), len(table))) & (len(table) - 1)
+    assert int(displacement.max()) + 1 <= 8
+    assert [interner.code_of(i) for i in ids[::997]] == list(range(0, 100_000, 997))
+
+
+def test_duplicate_array_payloads_are_refused_before_interning():
+    for ids in ([3, 4], [(1 << 62) + 1, -2]):
+        interner = ObjectInterner()
+        interner.intern_column(ids)
+        before = (_state(interner), interner.to_snapshot())
+        for payload in ([ids[0] + 10, ids[0] + 10], [ids[1]], [ids[0] + 11, ids[1]]):
+            with pytest.raises(ValueError, match="repeats an id"):
+                interner.extend_tail(("objects", payload), 2)
+            with pytest.raises(ValueError, match="repeats an id"):
+                interner._append_fresh(np.asarray(payload))  # the snapshot column path
+            assert (_state(interner), interner.to_snapshot()) == before
+        interner.extend_tail(("objects", [ids[0] + 10]), 2)
+        assert interner.code_of(ids[0] + 10) == 2
 
 
 class TestEncodedBatch:

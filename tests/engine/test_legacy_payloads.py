@@ -1,10 +1,13 @@
-"""Payloads written by earlier builds: dense id spaces, list-packed columns.
+"""Payloads written by earlier builds: dense id spaces, list-packed columns,
+object-list id spaces of sparse int ids.
 
 Builds that had a dense interner mode serialized an identity id space (ids
 ``0..n-1`` that were their own codes) as ``("dense", n)`` -- in snapshots
 and in every WAL record's object tail.  Builds with a pure-Python kernel
 packed snapshot state and trace columns from Python lists: the narrowest
-``array`` typecode, zlib level 1 when that was smaller.  The payloads here
+``array`` typecode, zlib level 1 when that was smaller.  Builds without a
+hash index snapshotted sparse int id spaces (62-bit keys) as the dict
+mode's ``("objects", [...])`` list.  The payloads here
 are hand-built from current ones, then the snapshot or journal record is
 re-framed with a fresh checksum.
 """
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import random
 import zlib
 from array import array
 
@@ -260,3 +264,81 @@ def test_dense_tail_needs_an_identity_id_space():
     identity = ObjectInterner.from_snapshot(("dense", 3))
     identity.extend_tail(("dense", 5), 3)
     assert identity.intern_column([4, 0, 5]) == [4, 0, 5]
+
+
+def _sparse_events(seed, objects=30):
+    """A banking stream over random 62-bit ids plus one negative id."""
+    _histories, events, suite = generators.conforming_banking_stream(
+        seed=seed, objects=objects, mean_length=8, noise=0.2
+    )
+    keys = random.Random(seed).sample(range(1 << 62), objects)
+    keys[0] = -keys[0]
+    return [(keys[o], symbol) for o, symbol in events], suite
+
+
+def _id_space(stream):
+    interner = stream.object_interner
+    return [interner.object(code) for code in range(len(interner))]
+
+
+def _objects_payload(payload):
+    """A current id-space payload in the dict-mode writer's layout: the
+    object list, as builds without a hash index wrote sparse int ids."""
+    interner = ObjectInterner.from_snapshot(payload)
+    return ("objects", [interner.object(code) for code in range(len(interner))])
+
+
+def test_hash_mode_snapshots_use_the_packed_ids_kind():
+    """A sparse-int id space snapshots as ``("ids", packed)`` -- the kind and
+    typecodes earlier readers accept -- in code order, signed ``"q"``."""
+    events, suite = _sparse_events(seed=4)
+    live = _engine(suite).open_stream()
+    live.feed_events(events)
+    assert live.object_interner._table is not None
+    kind, packed = _snapshot_body(live.snapshot())["objects"]
+    assert kind == "ids"
+    assert packed[0] == "q" and packed[1] == 0 and isinstance(packed[2], bytes)
+    assert _list_unpacked(packed) == _id_space(live)
+
+
+def test_dict_mode_sparse_snapshot_and_journal_recover_into_hash_mode(tmp_path):
+    """Snapshots and WAL tails that carry 62-bit ids as object lists (the
+    dict-mode layout) restore and recover into the hash index with the same
+    codes and verdicts."""
+    events, suite = _sparse_events(seed=8)
+    half = len(events) // 2
+    live = _engine(suite).open_stream()
+    live.feed_events(events[:half])
+    body = _snapshot_body(live.snapshot())
+    body["objects"] = _objects_payload(body["objects"])
+    restored = _engine(suite).restore_stream(_frame_snapshot(body))
+    assert restored.object_interner._table is not None
+    assert _id_space(restored) == _id_space(live)
+    for stream in (live, restored):
+        stream.feed_events(events[half:])
+    assert _id_space(restored) == _id_space(live)
+    assert restored.all_verdicts() == live.all_verdicts()
+
+    durable = _engine(suite).open_durable_stream(tmp_path, checkpoint_every=None)
+    for start in range(0, half, 15):
+        durable.feed_events(events[start : min(start + 15, half)])
+    durable.checkpoint()  # a checkpoint followed by object-list tail records
+    for start in range(half, len(events), 15):
+        durable.feed_events(events[start : start + 15])
+    verdicts, fed, space = durable.all_verdicts(), durable.events_seen, _id_space(durable.stream)
+    durable.close()
+
+    def rewrite(payload, before):
+        if before is None:
+            return _objects_payload(payload)
+        kind, objects = payload
+        assert kind == "objects"
+        return kind, objects[before:]
+
+    _rewrite_journal(tmp_path, rewrite)
+    recovered = _engine(suite).recover_stream(tmp_path)
+    assert recovered.truncated_records == 0
+    assert recovered.stream.object_interner._table is not None
+    assert recovered.events_seen == fed
+    assert _id_space(recovered.stream) == space
+    assert recovered.all_verdicts() == verdicts
